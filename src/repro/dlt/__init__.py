@@ -72,7 +72,8 @@ from repro.dlt.runner import (
     RunResult,
     TableResult,
 )
-from repro.dlt.storage import table_from_json, table_hash, table_to_json
+from repro.dlt.storage import table_from_json
+from repro.table.storage import table_hash
 
 __all__ = [
     "CHECKPOINT_WRITE_POINT",
@@ -102,5 +103,4 @@ __all__ = [
     "table_def",
     "table_from_json",
     "table_hash",
-    "table_to_json",
 ]

@@ -3,13 +3,15 @@
 The commit protocol makes a killed pipeline run resumable without ever
 serving a torn table:
 
-1. the table (and its quarantine, when non-empty) is written to a
-   **content-addressed** file — ``tables/<name>-<hash>.json`` — via
-   write-temp → flush → fsync → atomic rename.  The previous version's
-   file is untouched until the new commit is fully durable;
+1. the table (and its quarantine, when non-empty) is encoded in the
+   binary table format (:mod:`repro.table.storage`) and written to a
+   **content-addressed** file — ``tables/<name>-<hash>.tbl`` — via
+   :func:`~repro.table.storage.write_atomic` (write-temp → flush → fsync
+   → atomic rename → directory fsync).  The previous version's file is
+   untouched until the new commit is fully durable;
 2. the manifest (``MANIFEST.json``), mapping table name → fingerprint +
-   data file + content hash, is rewritten the same way: temp + fsync +
-   atomic rename.  The rename is the commit point;
+   data file + content hash, is rewritten the same way.  The rename is
+   the commit point;
 3. only after the manifest rename are data files no longer referenced by
    any entry garbage-collected.
 
@@ -17,25 +19,32 @@ A crash at *any* point — including mid-manifest-write, which the chaos
 harness injects via the ``dlt.checkpoint.write`` fault point — leaves
 either the old manifest (pointing at intact old files) or the new one
 (pointing at intact new files).  Stray ``*.tmp`` and unreferenced data
-files are swept when the store reopens.  On read, :meth:`committed`
-re-validates the entry's content hash, so even external corruption
-downgrades to "recompute", never to "serve torn data".
+files are swept when the store reopens.  Every read re-hashes the bytes
+it decodes against the entry's content hash, so even external corruption
+downgrades to "recompute", never to "serve torn data".  Data files of
+the earlier JSON format (``*.json``, format 1) are still read.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.dlt.storage import content_hash, table_from_json, table_to_json
-from repro.errors import CheckpointError
+from repro.dlt.storage import table_from_json
+from repro.errors import CheckpointError, StorageError
 from repro.obs import metrics
 from repro.resilience import faults
 from repro.table import Table
+from repro.table.storage import (
+    TABLE_SUFFIX,
+    content_hash,
+    decode_table,
+    encode_table,
+    write_atomic,
+)
 
 MANIFEST_NAME = "MANIFEST.json"
 #: Bumped on breaking changes to the manifest layout.
@@ -115,40 +124,17 @@ class CheckpointStore:
         self.tables_dir.mkdir(parents=True, exist_ok=True)
         self._sweep()
 
-    # -- durability helpers ------------------------------------------------
-
-    @staticmethod
-    def _fsync_dir(path: Path) -> None:
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:
-            return  # directory fsync is best-effort (not all platforms)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        """write-temp → flush → fsync → rename; never exposes partial data."""
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._fsync_dir(path.parent)
-
     def _sweep(self) -> None:
         """Remove debris a crash can leave: temp files and data files no
         manifest entry references."""
-        for tmp in [*self.root.glob("*.tmp"), *self.tables_dir.glob("*.tmp")]:
+        for tmp in self.root.glob("*.tmp"):
             tmp.unlink(missing_ok=True)
         referenced = set()
         for entry in self.load_manifest().values():
             referenced.add(entry.data_file)
             if entry.quarantine_file:
                 referenced.add(entry.quarantine_file)
-        for data in self.tables_dir.glob("*.json"):
+        for data in self.tables_dir.iterdir():  # temp files included
             if data.name not in referenced:
                 data.unlink(missing_ok=True)
 
@@ -176,71 +162,81 @@ class CheckpointStore:
             "tables": {name: e.to_dict() for name, e in manifest.items()},
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
-        path = self.root / MANIFEST_NAME
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        # Stage 3: the manifest temp exists but the commit point (the
-        # rename) has not happened — a crash here must leave the previous
-        # manifest authoritative.
-        faults.point(CHECKPOINT_WRITE_POINT)
-        os.replace(tmp, path)
-        self._fsync_dir(self.root)
+        # Stage 3 fires between the temp file's fsync and the rename (the
+        # commit point) — a crash there must leave the previous manifest
+        # authoritative.
+        write_atomic(self.root / MANIFEST_NAME, text.encode("utf-8"),
+                     before_replace=lambda: faults.point(
+                         CHECKPOINT_WRITE_POINT))
 
     # -- reads -------------------------------------------------------------
+
+    def entry(self, name: str) -> ManifestEntry | None:
+        """The manifest entry for ``name``, not validated — the runner
+        compares fingerprints on it first and validates only by reading
+        (:meth:`read_table`)."""
+        return self.load_manifest().get(name)
 
     def committed(self, name: str) -> ManifestEntry | None:
         """The validated manifest entry for ``name``, else None.
 
         Validation re-hashes the referenced files; any mismatch (missing,
-        truncated, corrupted) disqualifies the entry so the runner
-        recomputes instead of serving torn data.
+        truncated, corrupted) disqualifies the entry.  The runner does not
+        call this: :meth:`read_table` validates the bytes it decodes.
         """
-        entry = self.load_manifest().get(name)
-        if entry is None:
+        entry = self.entry(name)
+        if entry is None or self._valid_bytes(
+                entry.data_file, entry.data_hash) is None:
             return None
-        if not self._file_valid(entry.data_file, entry.data_hash):
-            metrics.counter("dlt.checkpoint.invalid").inc()
-            return None
-        if entry.quarantine_file is not None and not self._file_valid(
-                entry.quarantine_file, entry.quarantine_hash or ""):
-            metrics.counter("dlt.checkpoint.invalid").inc()
+        if entry.quarantine_file is not None and self._valid_bytes(
+                entry.quarantine_file, entry.quarantine_hash or "") is None:
             return None
         return entry
-
-    def _file_valid(self, file_name: str, expected_hash: str) -> bool:
-        path = self.tables_dir / file_name
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return False
-        return content_hash(text) == expected_hash
 
     def read_table(self, name: str,
                    entry: ManifestEntry | None = None) -> Table | None:
         """The committed table, or None when absent/invalid.
 
-        Pass a just-validated ``entry`` (from :meth:`committed`) to skip
-        re-validating — the hot path for cache-hit refreshes.
+        The bytes decoded are the bytes hashed against ``entry`` (looked
+        up when not given), so a table is validated exactly once, on the
+        read that serves it.
         """
-        entry = entry if entry is not None else self.committed(name)
+        entry = entry if entry is not None else self.entry(name)
         if entry is None:
             return None
-        return table_from_json(
-            (self.tables_dir / entry.data_file).read_text(encoding="utf-8")
-        )
+        return self._read(entry.data_file, entry.data_hash)
 
     def read_quarantine(self, name: str,
                         entry: ManifestEntry | None = None) -> Table | None:
-        """The committed quarantine table, or None when there is none."""
-        entry = entry if entry is not None else self.committed(name)
+        """The committed quarantine table, or None when there is none (or
+        its file is invalid — check ``entry.quarantine_file`` to tell)."""
+        entry = entry if entry is not None else self.entry(name)
         if entry is None or entry.quarantine_file is None:
             return None
-        return table_from_json(
-            (self.tables_dir / entry.quarantine_file).read_text(encoding="utf-8")
-        )
+        return self._read(entry.quarantine_file, entry.quarantine_hash or "")
+
+    def _valid_bytes(self, file_name: str, expected_hash: str) -> bytes | None:
+        """The file's bytes when they hash to ``expected_hash``, else None
+        (counted as ``dlt.checkpoint.invalid``)."""
+        try:
+            data = (self.tables_dir / file_name).read_bytes()
+        except OSError:
+            data = None
+        if data is None or content_hash(data) != expected_hash:
+            metrics.counter("dlt.checkpoint.invalid").inc()
+            return None
+        return data
+
+    def _read(self, file_name: str, expected_hash: str) -> Table | None:
+        data = self._valid_bytes(file_name, expected_hash)
+        if data is None:
+            return None
+        if file_name.endswith(".json"):
+            return table_from_json(data)
+        try:
+            return decode_table(data)
+        except StorageError as exc:
+            raise CheckpointError(f"{file_name}: {exc}") from exc
 
     # -- commit ------------------------------------------------------------
 
@@ -257,18 +253,13 @@ class CheckpointStore:
         # Stage 1: crash before anything touches disk.
         faults.point(CHECKPOINT_WRITE_POINT)
         safe = _safe_name(name)
-        data_text = table_to_json(table)
-        data_hash = content_hash(data_text)
-        data_file = f"{safe}-{data_hash[:12]}.json"
-        self._write_atomic(self.tables_dir / data_file, data_text)
+        data_file, data_hash = self._write_table(safe, table)
 
         quarantine_file = quarantine_hash = None
         quarantined = 0
         if quarantine is not None and quarantine.num_rows:
-            q_text = table_to_json(quarantine)
-            quarantine_hash = content_hash(q_text)
-            quarantine_file = f"{safe}-quarantine-{quarantine_hash[:12]}.json"
-            self._write_atomic(self.tables_dir / quarantine_file, q_text)
+            quarantine_file, quarantine_hash = self._write_table(
+                f"{safe}-quarantine", quarantine)
             quarantined = quarantine.num_rows
 
         # Stage 2: data durable, manifest still pointing at the old state.
@@ -293,6 +284,15 @@ class CheckpointStore:
                     (self.tables_dir / stale).unlink(missing_ok=True)
         return entry
 
+    def _write_table(self, stem: str, table: Table) -> tuple[str, str]:
+        """Durably write ``table`` to its content-addressed file; returns
+        ``(file name, content hash)``."""
+        data = encode_table(table)
+        digest = content_hash(data)
+        file_name = f"{stem}-{digest[:12]}{TABLE_SUFFIX}"
+        write_atomic(self.tables_dir / file_name, data)
+        return file_name, digest
+
     # -- maintenance -------------------------------------------------------
 
     def invalidate(self, name: str) -> None:
@@ -309,9 +309,8 @@ class CheckpointStore:
     def clear(self) -> None:
         """Forget everything (full-refresh semantics)."""
         (self.root / MANIFEST_NAME).unlink(missing_ok=True)
-        for data in self.tables_dir.glob("*.json"):
-            data.unlink(missing_ok=True)
         self._sweep()
 
     def __len__(self) -> int:
         return len(self.load_manifest())
+

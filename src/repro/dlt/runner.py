@@ -39,17 +39,18 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.dlt.checkpoint import CheckpointStore
+from repro.dlt.checkpoint import CheckpointStore, ManifestEntry
 from repro.dlt.decorators import TableDef, table_def
 from repro.dlt.expectations import Expectation
 from repro.dlt.graph import PipelineGraph
 from repro.dlt.lineage import TableEvent, get_log
-from repro.dlt.storage import fingerprint_parts, table_hash
+from repro.dlt.storage import fingerprint_parts
 from repro.errors import DltError, ExpectationFailedError
 from repro.obs import get_logger, instrument, metrics, span
 from repro.resilience import RetryPolicy, degradation, faults
 from repro.resilience.clock import Clock
 from repro.table import Table
+from repro.table.storage import table_hash
 
 logger = get_logger("dlt")
 
@@ -226,7 +227,8 @@ class Pipeline:
         halted = False
 
         with span("dlt.run", pipeline=self.name, tables=len(order)):
-            source_tables = self._materialize_sources(fingerprints)
+            source_tables, source_hashes = self._materialize_sources(
+                fingerprints)
             for name in order:
                 tdef = self.defs[name]
                 if halted or self._inputs_unavailable(tdef, run):
@@ -236,13 +238,23 @@ class Pipeline:
                 fingerprint = self._fingerprint(tdef, fingerprints)
                 fingerprints[name] = fingerprint
                 base_fp = self._tail_base_fingerprint(tdef)
+                source_state = (
+                    self._source_state(tdef, source_tables, source_hashes)
+                    if base_fp is not None else None
+                )
 
-                if not full_refresh and store is not None:
-                    if self._load_cached(store, tdef, fingerprint, run):
+                # Fingerprints are compared on the unvalidated entry; the
+                # files are hash-validated once, by the read that serves
+                # them.
+                entry = (store.entry(name)
+                         if store is not None and not full_refresh else None)
+                if entry is not None:
+                    if self._load_cached(store, tdef, entry, fingerprint,
+                                         run):
                         continue
                     handled = self._apply_tail(
-                        store, tdef, fingerprint, base_fp, source_tables,
-                        run, on_error=on_error,
+                        store, tdef, entry, fingerprint, base_fp,
+                        source_state, source_tables, run, on_error=on_error,
                     )
                     if handled is not None:
                         if not handled and on_error == "halt":
@@ -251,7 +263,8 @@ class Pipeline:
 
                 ok = self._compute(tdef, fingerprint, source_tables, store,
                                    run, on_error=on_error,
-                                   base_fingerprint=base_fp)
+                                   base_fingerprint=base_fp,
+                                   source_state=source_state)
                 if not ok and on_error == "halt":
                     halted = True
         return run
@@ -263,17 +276,21 @@ class Pipeline:
     # -- internals ---------------------------------------------------------
 
     def _materialize_sources(
-            self, fingerprints: dict[str, str]) -> dict[str, Table]:
-        out: dict[str, Table] = {}
+            self, fingerprints: dict[str, str],
+    ) -> tuple[dict[str, Table], dict[str, str]]:
+        """Each source's table and content hash (hashed once a run)."""
+        tables: dict[str, Table] = {}
+        hashes: dict[str, str] = {}
         for name, source in self.sources.items():
             data = source() if callable(source) else source
             if not isinstance(data, Table):
                 raise DltError(
                     f"source {name!r} must produce a Table, got {type(data)}"
                 )
-            out[name] = data
-            fingerprints[name] = f"src:{table_hash(data)}"
-        return out
+            tables[name] = data
+            hashes[name] = table_hash(data)
+            fingerprints[name] = f"src:{hashes[name]}"
+        return tables, hashes
 
     @staticmethod
     def _inputs_unavailable(tdef: TableDef, run: RunResult) -> bool:
@@ -312,17 +329,32 @@ class Pipeline:
         )
 
     @staticmethod
-    def _source_state(tdef: TableDef,
-                      source_tables: dict[str, Table]) -> dict[str, Any]:
+    def _source_state(tdef: TableDef, source_tables: dict[str, Table],
+                      source_hashes: dict[str, str]) -> dict[str, Any]:
         """High-water mark + content hash per input source, at commit time."""
         return {
             dep: {"rows": source_tables[dep].num_rows,
-                  "hash": table_hash(source_tables[dep])}
+                  "hash": source_hashes[dep]}
             for dep in tdef.inputs
         }
 
+    @staticmethod
+    def _read_committed(
+            store: CheckpointStore, name: str, entry: ManifestEntry,
+    ) -> tuple[Table, Table | None] | None:
+        """The committed table and quarantine, each hash-validated by
+        the read itself; None when either file is missing or corrupt."""
+        table = store.read_table(name, entry)
+        if table is None:
+            return None
+        quarantine = store.read_quarantine(name, entry)
+        if quarantine is None and entry.quarantine_file is not None:
+            return None
+        return table, quarantine
+
     def _apply_tail(self, store: CheckpointStore, tdef: TableDef,
-                    fingerprint: str, base_fp: str | None,
+                    entry: ManifestEntry, fingerprint: str,
+                    base_fp: str | None, source_state: dict[str, Any] | None,
                     source_tables: dict[str, Table], run: RunResult, *,
                     on_error: str) -> bool | None:
         """Try the append-only tail path; None = ineligible (fall through).
@@ -335,10 +367,7 @@ class Pipeline:
         proportional to the tail, with the full fingerprint re-recorded so
         downstream staleness stays content-driven.
         """
-        if base_fp is None:
-            return None
-        entry = store.committed(tdef.name)
-        if (entry is None or entry.base_fingerprint != base_fp
+        if (base_fp is None or entry.base_fingerprint != base_fp
                 or not entry.source_state):
             return None
         src_name = tdef.inputs[0]
@@ -352,9 +381,10 @@ class Pipeline:
         if table_hash(current.slice(0, hwm)) != recorded["hash"]:
             metrics.counter("dlt.incremental.prefix_rewritten").inc()
             return None                      # prefix mutated: recompute
-        cached = store.read_table(tdef.name, entry)
-        if cached is None:
+        committed = self._read_committed(store, tdef.name, entry)
+        if committed is None:
             return None
+        cached, quarantine = committed
         tail = current.slice(hwm)
 
         with instrument.timed("dlt.table.seconds", span_name="dlt.table",
@@ -384,7 +414,6 @@ class Pipeline:
                 return False
 
             out = cached.union(out_tail)
-            quarantine = store.read_quarantine(tdef.name, entry)
             if tail_quarantine is not None and tail_quarantine.num_rows:
                 quarantine = (tail_quarantine if quarantine is None
                               else quarantine.union(tail_quarantine))
@@ -395,8 +424,7 @@ class Pipeline:
             )
             store.commit(
                 tdef.name, fingerprint, out, quarantine,
-                base_fingerprint=base_fp,
-                source_state=self._source_state(tdef, source_tables),
+                base_fingerprint=base_fp, source_state=source_state,
             )
 
         run.tables[tdef.name] = out
@@ -431,15 +459,15 @@ class Pipeline:
         ))
 
     def _load_cached(self, store: CheckpointStore, tdef: TableDef,
-                     fingerprint: str, run: RunResult) -> bool:
+                     entry: ManifestEntry, fingerprint: str,
+                     run: RunResult) -> bool:
         """Serve a committed-and-clean table from the checkpoint."""
-        entry = store.committed(tdef.name)
-        if entry is None or entry.fingerprint != fingerprint:
+        if entry.fingerprint != fingerprint:
             return False
-        cached = store.read_table(tdef.name, entry)
-        if cached is None:
+        committed = self._read_committed(store, tdef.name, entry)
+        if committed is None:
             return False
-        quarantine = store.read_quarantine(tdef.name, entry)
+        cached, quarantine = committed
         run.tables[tdef.name] = cached
         if quarantine is not None:
             run.quarantines[tdef.name] = quarantine
@@ -461,7 +489,8 @@ class Pipeline:
     def _compute(self, tdef: TableDef, fingerprint: str,
                  source_tables: dict[str, Table],
                  store: CheckpointStore | None, run: RunResult, *,
-                 on_error: str, base_fingerprint: str | None = None) -> bool:
+                 on_error: str, base_fingerprint: str | None = None,
+                 source_state: dict[str, Any] | None = None) -> bool:
         """Run one table's transform + expectations, then commit it.
 
         Transform/expectation failures are isolated per ``on_error``;
@@ -509,10 +538,7 @@ class Pipeline:
                 store.commit(
                     tdef.name, fingerprint, out, quarantine,
                     base_fingerprint=base_fingerprint,
-                    source_state=(
-                        self._source_state(tdef, source_tables)
-                        if base_fingerprint is not None else None
-                    ),
+                    source_state=source_state,
                 )
 
         run.tables[tdef.name] = out

@@ -1,15 +1,11 @@
-"""Deterministic table (de)serialization for checkpoint files.
+"""Format-1 checkpoint reader and fingerprint hashing.
 
-Tables persist as compact JSON carrying the *explicit* schema — dtypes are
-never re-inferred on load, so a round trip reproduces the table exactly
-(``table_from_json(table_to_json(t)) == t``) and the serialized text is a
-stable function of the table's content.  That stability is what makes
-:func:`table_hash` usable as a content fingerprint: equal tables hash
-equal, across processes and runs.
-
-Nulls serialize as JSON ``null`` (the stack's universal null is ``None``);
-floats use Python's shortest-round-trip repr, so values survive the trip
-bit-for-bit.
+Checkpoint tables are written in the binary format of
+:mod:`repro.table.storage` (``<name>-<hash12>.tbl``).  Stores written
+before it hold format-1 files (``<name>-<hash12>.json``): compact JSON
+carrying the explicit schema, one JSON value per cell, ``null`` for
+nulls.  :func:`table_from_json` reads those, so an old checkpoint stays
+servable until its table's next recompute replaces it.
 """
 
 from __future__ import annotations
@@ -21,23 +17,12 @@ from typing import Any
 from repro.errors import CheckpointError
 from repro.table import Column, Field, Schema, Table
 
-#: Bumped on breaking changes to the on-disk table payload.
+#: The format number carried inside a JSON table payload.
 STORAGE_FORMAT = 1
 
 
-def table_to_json(table: Table) -> str:
-    """Serialize ``table`` to deterministic, schema-explicit JSON text."""
-    payload = {
-        "format": STORAGE_FORMAT,
-        "schema": [[f.name, f.dtype] for f in table.schema],
-        "num_rows": table.num_rows,
-        "columns": [table.column(name) for name in table.schema.names],
-    }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
-
-
-def table_from_json(text: str) -> Table:
-    """Rebuild a table from :func:`table_to_json` output.
+def table_from_json(text: str | bytes) -> Table:
+    """Rebuild a table from a format-1 JSON payload.
 
     Columns rebuild through the trusted constructor with the recorded
     dtypes — values were validated before serialization, and no inference
@@ -58,18 +43,6 @@ def table_from_json(text: str) -> Table:
         for field, values in zip(schema, payload["columns"])
     ]
     return Table.from_columns(schema, columns)
-
-
-def content_hash(data: str | bytes) -> str:
-    """Stable blake2b content hash (hex) of serialized bytes."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
-def table_hash(table: Table) -> str:
-    """Content fingerprint of a table (hash of its serialized form)."""
-    return content_hash(table_to_json(table))
 
 
 def fingerprint_parts(*parts: Any) -> str:

@@ -24,6 +24,11 @@ class ParseError(ReproError):
     """Raised when parsing SQL text, prompts, or serialized models fails."""
 
 
+class StorageError(ReproError):
+    """A serialized table payload is truncated, corrupt, or of an unknown
+    format (``repro.table.storage``)."""
+
+
 class NotFittedError(ReproError):
     """A model method that requires training was called before ``fit``."""
 

@@ -4,34 +4,43 @@ A :class:`ShardStore` spills a :class:`~repro.shard.PartitionedTable` to
 a directory and restores it lazily — the restored table holds
 :class:`SpilledShard` handles, so only the shard a kernel is currently
 working on occupies memory (and a forked worker loads just its own
-shard).  The layout borrows the :class:`~repro.dlt.CheckpointStore`
-durability discipline wholesale:
+shard).  Storage is :mod:`repro.table.storage`, the same format and
+durable-write path :class:`~repro.dlt.CheckpointStore` uses:
 
-- each shard serializes through :func:`~repro.dlt.storage.table_to_json`
-  (exact round-trip including null masks, object-dtype strings, and the
-  int64-overflow object fallback — the same format checkpoints trust);
-- shard files are **content-addressed** (``<name>-<shard>-<hash12>.json``)
-  and every write is write-temp → flush → fsync → ``os.replace`` →
-  directory fsync, so a crash never exposes a partial shard;
+- each shard is encoded by :func:`~repro.table.storage.encode_table`
+  (exact round-trip including null masks, unicode strings, and the
+  int64-overflow object fallback; fixed-width columns are raw ``.npy``
+  buffers, so a shard loads without a Python object per numeric cell);
+- shard files are **content-addressed** (``<name>-<shard>-<hash12>.tbl``)
+  and every write goes through :func:`~repro.table.storage.write_atomic`
+  (write-temp → flush → fsync → ``os.replace`` → directory fsync), so a
+  crash never exposes a partial shard;
 - a per-name manifest records the partitioner (via ``to_dict``), the
   schema, and each shard's file + full content hash; loads re-hash the
-  file and raise :class:`~repro.errors.ShardError` on any mismatch;
+  file and raise :class:`~repro.errors.ShardError` on any mismatch or
+  undecodable payload;
 - ``*.tmp`` debris and unreferenced shard files are swept at open.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
 
-from repro.dlt.storage import content_hash, table_from_json, table_to_json
-from repro.errors import ShardError
+from repro.errors import ShardError, StorageError
 from repro.obs import get_logger, metrics
 from repro.shard.partition import partitioner_from_dict
 from repro.shard.table import PartitionedTable
 from repro.table import Schema, Table
+from repro.table.storage import (
+    TABLE_SUFFIX,
+    content_hash,
+    decode_table,
+    encode_table,
+    fsync_dir,
+    write_atomic,
+)
 
 log = get_logger("shard.spill")
 
@@ -54,15 +63,20 @@ class SpilledShard:
 
     def get(self) -> Table:
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError as exc:
             raise ShardError(f"spilled shard missing: {self.path}") from exc
-        if content_hash(text) != self.expected_hash:
+        if content_hash(data) != self.expected_hash:
             raise ShardError(
                 f"spilled shard corrupt (hash mismatch): {self.path}"
             )
         metrics.counter("shard.spill.loads").inc()
-        return table_from_json(text)
+        try:
+            return decode_table(data)
+        except StorageError as exc:
+            raise ShardError(
+                f"spilled shard corrupt ({exc}): {self.path}"
+            ) from exc
 
     def __repr__(self) -> str:
         return f"SpilledShard({self.path.name}, rows={self.num_rows})"
@@ -76,28 +90,6 @@ class ShardStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._sweep()
 
-    # -- durability helpers (CheckpointStore discipline) -------------------
-
-    @staticmethod
-    def _fsync_dir(path: Path) -> None:
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:
-            return  # directory fsync is best-effort (not all platforms)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._fsync_dir(path.parent)
-
     def _sweep(self) -> None:
         for tmp in self.root.glob("*.tmp"):
             tmp.unlink(missing_ok=True)
@@ -109,9 +101,7 @@ class ShardStore:
                 continue
             for entry in manifest["shards"]:
                 referenced.add(entry["file"])
-        for data in self.root.glob("*.json"):
-            if data.name.endswith(MANIFEST_SUFFIX):
-                continue
+        for data in self.root.glob(f"*{TABLE_SUFFIX}"):
             if data.name not in referenced:
                 data.unlink(missing_ok=True)
 
@@ -147,12 +137,12 @@ class ShardStore:
         handles = []
         for i in range(ptable.num_shards):
             table = ptable.shard(i)
-            text = table_to_json(table)
-            digest = content_hash(text)
-            file_name = f"{safe}-{i:04d}-{digest[:12]}.json"
+            data = encode_table(table)
+            digest = content_hash(data)
+            file_name = f"{safe}-{i:04d}-{digest[:12]}{TABLE_SUFFIX}"
             path = self.root / file_name
             if not path.exists():
-                self._write_atomic(path, text)
+                write_atomic(path, data)
             entries.append({"file": file_name, "hash": digest,
                             "rows": table.num_rows})
             handles.append(SpilledShard(path, digest, table.num_rows))
@@ -162,8 +152,8 @@ class ShardStore:
             "schema": [[f.name, f.dtype] for f in ptable.schema],
             "shards": entries,
         }
-        self._write_atomic(self._manifest_path(name),
-                           json.dumps(manifest, indent=1, sort_keys=True))
+        write_atomic(self._manifest_path(name),
+                     json.dumps(manifest, indent=1, sort_keys=True).encode())
         metrics.counter("shard.spill.writes").inc(ptable.num_shards)
         log.info("spilled %r: %d shards, %d rows", name,
                  ptable.num_shards, ptable.num_rows)
@@ -198,4 +188,4 @@ class ShardStore:
         for entry in manifest["shards"]:
             (self.root / entry["file"]).unlink(missing_ok=True)
         manifest_path.unlink(missing_ok=True)
-        self._fsync_dir(self.root)
+        fsync_dir(self.root)

@@ -1,5 +1,6 @@
 """repro.dlt: declaration, expectations, DAG execution, checkpoint recovery."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,14 @@ from repro.resilience.faults import (
     set_injector,
 )
 from repro.table import Table
+from repro.table.storage import content_hash, decode_table, encode_table
+
+
+def flip_byte(path, index: int) -> None:
+    """Corrupt one byte of a file in place."""
+    data = bytearray(path.read_bytes())
+    data[index] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 def orders_table() -> Table:
@@ -218,7 +227,7 @@ class TestGraph:
 class TestStorage:
     def test_round_trip_exact(self):
         t = orders_table()
-        clone = dlt.table_from_json(dlt.table_to_json(t))
+        clone = decode_table(encode_table(t))
         assert clone.schema == t.schema
         for name in t.schema.names:
             assert clone.column(name) == t.column(name)
@@ -250,16 +259,42 @@ class TestCheckpointStore:
         store = dlt.CheckpointStore(tmp_path)
         entry = store.commit("orders", "fp1", orders_table())
         data_path = store.tables_dir / entry.data_file
-        data_path.write_text(data_path.read_text()[:-10] + "}")
+        flip_byte(data_path, -1)
         assert store.committed("orders") is None
         assert store.read_table("orders") is None
+
+    def test_truncation_detected_on_read(self, tmp_path):
+        store = dlt.CheckpointStore(tmp_path)
+        entry = store.commit("orders", "fp1", orders_table(),
+                             quarantine=orders_table())
+        for name in (entry.quarantine_file, entry.data_file):
+            path = store.tables_dir / name
+            path.write_bytes(path.read_bytes()[:-10])
+            assert store.committed("orders") is None
+        assert store.read_table("orders") is None
+        assert store.read_quarantine("orders") is None
+
+    def test_undecodable_payload_with_matching_hash_raises(self, tmp_path):
+        """Bytes that pass the hash check but do not decode (a foreign
+        writer) raise instead of serving garbage."""
+        store = dlt.CheckpointStore(tmp_path)
+        entry = store.commit("orders", "fp1", orders_table())
+        data_path = store.tables_dir / entry.data_file
+        data = data_path.read_bytes()
+        for bad in (data[:-10], bytes([data[0] ^ 0xFF]) + data[1:]):
+            data_path.write_bytes(bad)
+            forged = dataclasses.replace(entry, data_hash=content_hash(bad))
+            with pytest.raises(CheckpointError):
+                store.read_table("orders", forged)
 
     def test_sweep_removes_debris(self, tmp_path):
         store = dlt.CheckpointStore(tmp_path)
         store.commit("orders", "fp1", orders_table())
-        (store.tables_dir / "junk-deadbeef.json").write_text("{}")
+        for junk in ("junk-deadbeef.tbl", "junk-deadbeef.json"):
+            (store.tables_dir / junk).write_bytes(b"{}")
         (tmp_path / "MANIFEST.json.tmp").write_text("partial")
         reopened = dlt.CheckpointStore(tmp_path)
+        assert not (reopened.tables_dir / "junk-deadbeef.tbl").exists()
         assert not (reopened.tables_dir / "junk-deadbeef.json").exists()
         assert not (tmp_path / "MANIFEST.json.tmp").exists()
         assert reopened.read_table("orders") is not None
@@ -271,6 +306,47 @@ class TestCheckpointStore:
         store.commit("orders", "fp2", smaller)
         assert not (store.tables_dir / first.data_file).exists()
         assert store.read_table("orders").num_rows == 3
+
+    def test_format1_json_checkpoint_read_then_replaced(self, tmp_path):
+        """A checkpoint from before the binary format: a format-1 JSON
+        data file survives reopen, reads back exactly, and the next
+        refresh recomputes the table into a binary file."""
+        text = json.dumps({
+            "format": 1,
+            "schema": [["order_id", "int"], ["qty", "int"],
+                       ["price", "float"], ["region", "str"]],
+            "num_rows": 6,
+            "columns": [[1, 2, 3, 4, 5, 6], [2, -1, 3, None, 10, 0],
+                        [9.5, 3.0, 1.25, 4.0, None, 2.0],
+                        ["eu", "us", None, "eu", "apac", "us"]],
+        }, separators=(",", ":"))
+        legacy = "bronze_orders-0123456789ab.json"
+        (tmp_path / "tables").mkdir()
+        (tmp_path / "tables" / legacy).write_text(text)
+        (tmp_path / "MANIFEST.json").write_text(json.dumps({
+            "format": 1,
+            "tables": {"bronze_orders": {
+                "table": "bronze_orders", "fingerprint": "format1-fp",
+                "data_file": legacy,
+                "data_hash": content_hash(text.encode("utf-8")),
+                "rows": 6,
+            }},
+        }))
+        store = dlt.CheckpointStore(tmp_path)
+        assert (store.tables_dir / legacy).exists()
+        old = store.read_table("bronze_orders")
+        assert old.schema == orders_table().schema
+        for name in old.schema.names:
+            assert old.column(name) == orders_table().column(name)
+
+        counters = {}
+        result = build_pipeline(tmp_path, counters).refresh()
+        assert result.results["bronze_orders"].status == "materialized"
+        assert counters["bronze_orders"] == 1
+        entry = store.committed("bronze_orders")
+        assert entry.data_file.endswith(".tbl")
+        assert not (store.tables_dir / legacy).exists()
+        assert store.read_table("bronze_orders") == orders_table()
 
     def test_invalidate_and_clear(self, tmp_path):
         store = dlt.CheckpointStore(tmp_path)
@@ -572,6 +648,28 @@ class TestCrashRecovery:
         store = dlt.CheckpointStore(tmp_path)  # reopen sweeps
         assert not (tmp_path / "MANIFEST.json.tmp").exists()
         assert len(store) == 0
+
+    def test_corrupt_checkpoint_file_recomputed_not_served(self, tmp_path):
+        """Fingerprints match, but a data or quarantine file no longer
+        hashes to its entry: the refresh recomputes that table instead of
+        serving it, and its clean downstream stays cached."""
+        counters = {}
+        first = build_pipeline(tmp_path, counters).run()
+        store = dlt.CheckpointStore(tmp_path)
+        flip_byte(store.tables_dir
+                  / store.entry("silver_orders").quarantine_file, -1)
+        flip_byte(store.tables_dir / store.entry("silver_priced").data_file,
+                  -1)
+        result = build_pipeline(tmp_path, counters).refresh()
+        status = {n: r.status for n, r in result.results.items()}
+        assert status == {
+            "bronze_orders": "cached", "silver_orders": "materialized",
+            "silver_priced": "materialized", "gold_totals": "cached",
+            "gold_joined": "cached",
+        }
+        assert (result.quarantine("silver_orders")
+                == first.quarantine("silver_orders"))
+        assert result.table("silver_priced") == first.table("silver_priced")
 
     def test_detector_backed_expectation_in_pipeline(self, tmp_path):
         dirty = make_dirty(products_table(make_world(seed=11)),

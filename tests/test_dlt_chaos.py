@@ -111,11 +111,12 @@ def build_random_pipeline(tmp_path, rng_seed: int, counters: dict):
     return pipe
 
 
-def committed_state(root) -> dict[str, str]:
-    """Every committed file's bytes, keyed by relative path."""
+def committed_state(root) -> dict[str, bytes]:
+    """Every committed file's bytes — manifest and binary data files —
+    keyed by relative path."""
     out = {}
-    for path in sorted(root.rglob("*.json")):
-        out[str(path.relative_to(root))] = path.read_text()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        out[str(path.relative_to(root))] = path.read_bytes()
     return out
 
 

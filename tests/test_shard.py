@@ -27,7 +27,9 @@ from repro.shard import (
     where_mask,
 )
 from repro.shard.partition import NULL_HASH
+from repro.shard.spill import SpilledShard
 from repro.table import Column, Table, row_codes
+from repro.table.storage import TABLE_SUFFIX, content_hash
 
 
 @pytest.fixture(autouse=True)
@@ -293,19 +295,39 @@ class TestSpill:
         pt = PartitionedTable.partition(tricky, HashPartitioner(("k",), 2))
         store = ShardStore(tmp_path)
         store.spill(pt, "one")
-        files = sorted(p.name for p in tmp_path.glob("*.json"))
+        files = sorted(p.name for p in tmp_path.glob(f"*{TABLE_SUFFIX}"))
+        assert len(files) == 2
         store.spill(pt, "one")
-        assert sorted(p.name for p in tmp_path.glob("*.json")) == files
+        assert sorted(p.name for p in
+                      tmp_path.glob(f"*{TABLE_SUFFIX}")) == files
 
     def test_corruption_detected_on_load(self, tmp_path, tricky):
         pt = PartitionedTable.partition(tricky, HashPartitioner(("k",), 2))
         store = ShardStore(tmp_path)
         spilled = store.spill(pt, "x")
-        victim = next(p for p in tmp_path.glob("x-*.json"))
-        victim.write_text(victim.read_text().replace('"a"', '"z"'))
+        victim = next(p for p in tmp_path.glob(f"x-*{TABLE_SUFFIX}"))
+        data = bytearray(victim.read_bytes())
+        data[-1] ^= 0x01                 # a value byte of the last column
+        victim.write_bytes(bytes(data))
         with pytest.raises(ShardError, match="corrupt|missing"):
             for i in range(spilled.num_shards):
                 spilled.shard(i)
+
+    def test_truncated_or_undecodable_shard_raises(self, tmp_path, tricky):
+        pt = PartitionedTable.partition(tricky, HashPartitioner(("k",), 2))
+        spilled = ShardStore(tmp_path).spill(pt, "x")
+        handle = spilled.shards[0]
+        data = handle.path.read_bytes()
+        handle.path.write_bytes(data[:-10])
+        with pytest.raises(ShardError, match="corrupt"):
+            handle.get()
+        # Bytes that match the recorded hash but do not decode.
+        for bad in (data[:-10], bytes([data[0] ^ 0xFF]) + data[1:]):
+            handle.path.write_bytes(bad)
+            forged = SpilledShard(handle.path, content_hash(bad),
+                                  handle.num_rows)
+            with pytest.raises(ShardError, match="corrupt"):
+                forged.get()
 
     def test_restore_unknown_name(self, tmp_path):
         with pytest.raises(ShardError):
@@ -324,10 +346,10 @@ class TestSpill:
         store = ShardStore(tmp_path)
         store.spill(pt, "keep")
         (tmp_path / "junk.json.tmp").write_text("partial")
-        (tmp_path / "orphan-0000-deadbeef0000.json").write_text("{}")
+        (tmp_path / "orphan-0000-deadbeef0000.tbl").write_bytes(b"{}")
         ShardStore(tmp_path)  # reopening sweeps
         assert not (tmp_path / "junk.json.tmp").exists()
-        assert not (tmp_path / "orphan-0000-deadbeef0000.json").exists()
+        assert not (tmp_path / "orphan-0000-deadbeef0000.tbl").exists()
         assert ShardStore(tmp_path).restore("keep").num_rows == \
             tricky.num_rows
 
@@ -335,9 +357,10 @@ class TestSpill:
         pt = PartitionedTable.partition(tricky, HashPartitioner(("k",), 2))
         store = ShardStore(tmp_path)
         store.spill(pt, "gone")
+        assert list(tmp_path.glob(f"gone-*{TABLE_SUFFIX}"))
         store.delete("gone")
         assert store.names() == []
-        assert list(tmp_path.glob("gone-*.json")) == []
+        assert list(tmp_path.glob(f"gone-*{TABLE_SUFFIX}")) == []
 
     def test_kernels_run_on_spilled_shards(self, tmp_path, orders):
         pt = PartitionedTable.partition(

@@ -2,11 +2,14 @@
 randomized equivalence of the vectorized kernels against their
 ``*_reference`` twins."""
 
+import io
+import math
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import SchemaError
+from repro.errors import SchemaError, StorageError
 from repro.obs import metrics
 from repro.table import (
     NUMPY_DTYPES,
@@ -15,6 +18,12 @@ from repro.table import (
     Field,
     Schema,
     Table,
+)
+from repro.table.storage import (
+    content_hash,
+    decode_table,
+    encode_table,
+    table_hash,
 )
 
 
@@ -220,3 +229,146 @@ class TestHotOpInstrumentation:
             assert metric in names
             assert metrics.histogram(metric).summary()["count"] >= 1
         assert metrics.counter("table.rows_scanned").value > 0
+
+
+def assert_exact(a: Table, b: Table):
+    """Same schema, masks and bit-identical valid values (NaN and -0.0
+    included) with the same python value types."""
+    assert a.schema == b.schema
+    assert a.num_rows == b.num_rows
+    for ca, cb in zip(a.columns(), b.columns()):
+        assert ca.dtype == cb.dtype
+        assert np.array_equal(ca.mask, cb.mask)
+        valid = ~ca.mask
+        va, vb = ca.values[valid], cb.values[valid]
+        if va.dtype == np.float64 and vb.dtype == np.float64:
+            assert np.array_equal(va.view(np.int64), vb.view(np.int64))
+        else:
+            assert [(type(x), x) for x in va.tolist()] == \
+                [(type(x), x) for x in vb.tolist()]
+
+
+def round_trip(table: Table) -> Table:
+    clone = decode_table(encode_table(table))
+    assert_exact(clone, table)
+    assert table_hash(clone) == table_hash(table)
+    return clone
+
+
+class TestStorageFormat:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_every_dtype_with_nulls(self, seed):
+        table = random_table(np.random.default_rng(seed), 300)
+        clone = round_trip(table)
+        for column in clone.columns():
+            assert column.values.dtype == NUMPY_DTYPES[column.dtype]
+
+    def test_all_null_columns_and_empty_tables(self):
+        schema = Schema([("i", "int"), ("f", "float"), ("s", "str"),
+                         ("b", "bool")])
+        all_null = Table.from_columns(
+            schema, [Column.build([None] * 5, f.dtype) for f in schema])
+        round_trip(all_null)
+        round_trip(Table.empty(schema))
+        round_trip(random_table(np.random.default_rng(9), 40).slice(0, 0))
+
+    def test_unicode_strings(self):
+        words = ["", "\x00", "a\x00b", "é", "日本語", "\U0001d11e astral",
+                 None, "plain", "\U0001f600"]
+        table = Table.from_dict({"s": words, "ascii": ["x"] * len(words)})
+        assert round_trip(table).column("s") == words
+
+    def test_float_edge_values(self):
+        values = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"),
+                  5e-324, 0.1, 0.25, None, 1e308]
+        clone = round_trip(Table.from_dict({"f": values}))
+        out = clone.column("f")
+        assert math.copysign(1.0, out[0]) == -1.0
+        assert math.isnan(out[2]) and not clone.null_mask("f")[2]
+        assert out[8] is None
+        assert out[:2] + out[3:8] + out[9:] == values[:2] + values[3:8] \
+            + values[9:]
+        # Every NaN bit pattern encodes as the one quiet NaN.
+        negative_nan = np.array([np.nan]).view(np.int64) | np.int64(-2 ** 63)
+        odd = Table.from_columns(Schema([("f", "float")]), [Column(
+            "float", negative_nan.view(np.float64), np.zeros(1, bool))])
+        assert encode_table(odd) == encode_table(
+            Table.from_dict({"f": [float("nan")]}))
+
+    def test_every_int_width_and_long_strings(self):
+        # Values on each side of the int8/16/32 limits, and strings whose
+        # byte lengths need a wider length array.
+        edges = [0, 127, 128, -128, -129, 2 ** 15 - 1, 2 ** 15, -2 ** 15 - 1,
+                 2 ** 31 - 1, 2 ** 31, -2 ** 31 - 1, 2 ** 63 - 1, -2 ** 63]
+        for i in range(len(edges)):
+            round_trip(Table.from_dict({"i": edges[:i + 1]}))
+        texts = ["x" * 300, "é" * 40000, "short"]
+        assert round_trip(Table.from_dict({"s": texts})).column("s") == texts
+
+    def test_ints_beyond_int64(self):
+        values = [2 ** 70, -2 ** 70, 1, None, 2 ** 63, -2 ** 63 - 1]
+        table = Table.from_dict({"big": values})
+        assert table.columns()[0].values.dtype == object
+        clone = round_trip(table)
+        assert clone.column("big") == values
+        assert all(type(v) is int for v in clone.column("big") if v is not None)
+        # Object storage holding only int64-sized values encodes exactly
+        # like an int64 column: bytes follow logical content.
+        small = table.filter(np.array([False, False, True, True, False,
+                                       False]))
+        assert small.columns()[0].values.dtype == object
+        plain = Table.from_dict({"big": [1, None]})
+        assert encode_table(small) == encode_table(plain)
+
+    def test_left_join_null_slots_hash_like_rows(self):
+        left = Table.from_dict({"k": [1, 2, 3]})
+        right = Table.from_dict({"k": [1], "s": ["x"], "n": [5],
+                                 "f": [2.5], "b": [True]})
+        joined = left.join(right, on="k", how="left")
+        # take_or_null leaves row 0's values in the null slots.
+        assert joined.column_array("s")[1] == "x"
+        assert joined.column_array("n")[1] == 5
+        rebuilt = Table.from_rows(list(joined.rows()), schema=joined.schema)
+        assert rebuilt.column_array("s")[1] is None
+        assert encode_table(joined) == encode_table(rebuilt)
+        assert table_hash(joined) == table_hash(rebuilt)
+
+    def test_hash_is_the_hash_of_the_encoding(self):
+        table = random_table(np.random.default_rng(3), 50)
+        assert table_hash(table) == content_hash(encode_table(table))
+        assert table_hash(table) != table_hash(table.slice(1))
+
+    def test_truncated_payload_raises(self):
+        data = encode_table(random_table(np.random.default_rng(4), 20))
+        for cut in range(len(data)):
+            with pytest.raises(StorageError):
+                decode_table(data[:cut])
+        with pytest.raises(StorageError, match="trailing"):
+            decode_table(data + b"\x00")
+
+    def test_bad_magic_and_version_raise(self):
+        data = bytearray(encode_table(Table.from_dict({"a": [1]})))
+        flipped = bytes([data[0] ^ 0xFF]) + bytes(data[1:])
+        with pytest.raises(StorageError, match="magic"):
+            decode_table(flipped)
+        data[8] += 1                      # the u16 format version
+        with pytest.raises(StorageError, match="version"):
+            decode_table(bytes(data))
+
+    def test_object_arrays_never_unpickled(self):
+        # A payload whose values buffer is a pickled object array: the
+        # reader loads .npy with allow_pickle=False and refuses it.
+        data = encode_table(Table.from_dict({"a": [1, 2]}))
+        values = _npy(np.array([1, 2], dtype="<i1"))   # narrowed to int8
+        assert data.endswith(values)
+        evil = data[:-len(values)] + _npy(np.array([1, 2], dtype=object),
+                                          allow_pickle=True)
+        with pytest.raises(StorageError):
+            decode_table(evil)
+
+
+def _npy(array, allow_pickle=False):
+    out = io.BytesIO()
+    np.lib.format.write_array(out, array, version=(1, 0),
+                              allow_pickle=allow_pickle)
+    return out.getvalue()

@@ -41,7 +41,6 @@ tuning knobs and metric names.
 """
 
 from repro.serving.admission import AdmissionController
-from repro.serving.backends import FMBackend, MatcherBackend, PipelineBackend
 from repro.serving.cache import ResultCache, SingleFlight, stable_key
 from repro.serving.envelope import (
     ERROR,
@@ -80,3 +79,16 @@ __all__ = [
     "WorkerPool",
     "stable_key",
 ]
+
+#: The stock backends wrap the model stack (foundation, matching,
+#: pipelines, and through them nn / plm / networkx); they load on first
+#: use so processes that only serve SQL or shard queries never import it.
+_BACKENDS = ("FMBackend", "MatcherBackend", "PipelineBackend")
+
+
+def __getattr__(name: str):
+    if name in _BACKENDS:
+        from repro.serving import backends
+
+        return getattr(backends, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

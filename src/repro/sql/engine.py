@@ -287,8 +287,8 @@ class Database:
         lines.append("plan (analyzed):")
         for entry in plan:
             parts = [f"{entry['stage']}"]
-            for key in ("table", "on", "vectorized", "by", "columns",
-                        "limit"):
+            for key in ("table", "on", "vectorized", "index", "by",
+                        "columns", "limit"):
                 if key in entry:
                     parts.append(f"{key}={entry[key]}")
             parts.append(f"rows={entry['rows_in']}->{entry['rows_out']}")

@@ -7,7 +7,10 @@ backends:
   (:meth:`~repro.table.Table.filter` under a compiled mask,
   :meth:`~repro.table.Table.join` with compile-time renames,
   :meth:`~repro.table.Table.group_by` for simple aggregates) with the
-  row-at-a-time evaluators as fallback for opaque expressions.
+  row-at-a-time evaluators as fallback for opaque expressions.  A filter
+  straight over a plain table scan with a numeric ``col = literal``
+  conjunct binds ``columnar[index]``: it probes the column's key index
+  (:meth:`~repro.table.Table.lookup`) and masks only the matched rows.
 * **shard** — :mod:`repro.shard` morsel kernels when the scanned source is
   a :class:`~repro.shard.PartitionedTable`: per-shard filter (keeps the
   partitioning), broadcast join, and partition-aligned group-by.  Only
@@ -24,13 +27,14 @@ modulo the extra per-table scan entries.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import SchemaError
 from repro.obs import tracing
-from repro.sql.ast import ColumnRef, Expr, FuncCall
+from repro.sql.ast import BinaryOp, ColumnRef, Expr, FuncCall, Literal
 from repro.sql.expr import (
     aggregate_rows,
     default_name,
@@ -39,6 +43,7 @@ from repro.sql.expr import (
     project_items,
     where_mask,
 )
+from repro.sql.optimizer import split_conjuncts
 from repro.sql.plan import (
     Aggregate,
     Filter,
@@ -201,14 +206,29 @@ def _bind_filter(node: Filter, db, pmap) -> PhysicalNode:
     child = _bind(node.child, db, pmap)
     schema = output_schema(node.child, db)
     vectorized = where_mask(node.predicate, Table.empty(schema)) is not None
-    backend = ("shard" if db.plan_is_partitioned(node.child) and vectorized
-               else f"columnar[{'vectorized' if vectorized else 'rows'}]")
+    probe = (_index_probe(node.predicate, schema)
+             if vectorized and isinstance(node.child, Scan)
+             and not db.is_partitioned(node.child.table) else None)
+    if probe is not None:
+        backend = "columnar[index]"
+    elif db.plan_is_partitioned(node.child) and vectorized:
+        backend = "shard"
+    else:
+        backend = f"columnar[{'vectorized' if vectorized else 'rows'}]"
 
     def run(record):
         source = child.run(record)
         rows_in = source.num_rows
+        extra: dict[str, Any] = {}
         with tracing.span("sql.where") as s:
-            if not isinstance(source, Table) and vectorized:
+            if probe is not None:
+                key, value, rest = probe
+                out = source.lookup(key, value)
+                rows_in = out.num_rows          # rows the probe examined
+                if rest is not None:
+                    out = out.filter(where_mask(rest, out))
+                extra["index"] = key
+            elif not isinstance(source, Table) and vectorized:
                 from repro.shard import kernels as shard_kernels
 
                 out: Any = shard_kernels.filter(
@@ -222,12 +242,36 @@ def _bind_filter(node: Filter, db, pmap) -> PhysicalNode:
                         lambda row: bool(eval_row(node.predicate, row))
                     )
             selectivity = out.num_rows / rows_in if rows_in else None
-            s.set(rows_out=out.num_rows, vectorized=vectorized)
+            s.set(rows_out=out.num_rows, vectorized=vectorized, **extra)
         record("where", s, rows_in, out.num_rows,
-               selectivity=selectivity, vectorized=vectorized)
+               selectivity=selectivity, vectorized=vectorized, **extra)
         return out
 
     return PhysicalNode("where", describe(node), backend, [child], run)
+
+
+def _index_probe(predicate: Expr, schema: Schema
+                 ) -> tuple[str, Any, Expr | None] | None:
+    """``(column, value, rest)`` for the first top-level ``col = literal``
+    conjunct a key index answers exactly like the mask would — an int or
+    float column against an int64 / float literal (not bool) — with
+    ``rest`` the other conjuncts ANDed (None when there are none)."""
+    conjuncts = split_conjuncts(predicate)
+    for i, conjunct in enumerate(conjuncts):
+        if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
+            continue
+        for ref, lit in ((conjunct.left, conjunct.right),
+                         (conjunct.right, conjunct.left)):
+            if (isinstance(ref, ColumnRef) and isinstance(lit, Literal)
+                    and type(lit.value) in (int, float)
+                    and np.asarray(lit.value).dtype.kind in "if"
+                    and ref.name in schema
+                    and schema.dtype_of(ref.name) in ("int", "float")):
+                rest = conjuncts[:i] + conjuncts[i + 1:]
+                return ref.name, lit.value, (
+                    reduce(lambda a, b: BinaryOp("and", a, b), rest)
+                    if rest else None)
+    return None
 
 
 # -- join ---------------------------------------------------------------------

@@ -19,6 +19,12 @@ convention — every operation returns a new instance, and tables freely share
 column objects, so nothing may write to ``values``/``mask`` after
 construction.
 
+Immutability is what lets a column memoize derived data: :meth:`Column.lookup`
+builds a sorted key index on first use and keeps it on the column, so
+every table sharing the column (projections, renames, the stored table
+a query scans) probes the same index without rebuilding or invalidating
+it.  The memo is not pickled.
+
 Trusted construction invariant: :meth:`Column.build` (and
 ``from_pylist(check=False)``) skip the per-cell type check.  They may only be
 fed values that already conform to the logical dtype — the output of
@@ -78,12 +84,18 @@ def _to_numpy(filled: Sequence[Any], dtype: str) -> np.ndarray:
 class Column:
     """One typed column: ``values`` (numpy) + ``mask`` (True = null)."""
 
-    __slots__ = ("dtype", "values", "mask")
+    __slots__ = ("dtype", "values", "mask", "_key_index")
 
     def __init__(self, dtype: str, values: np.ndarray, mask: np.ndarray):
         self.dtype = dtype
         self.values = values
         self.mask = mask
+        self._key_index: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __reduce__(self):
+        # The key index is a cache: pickles (process-pool results) carry
+        # the data only, and the receiver rebuilds the index on demand.
+        return (Column, (self.dtype, self.values, self.mask))
 
     # -- construction -----------------------------------------------------
 
@@ -188,6 +200,51 @@ class Column:
         return Column(self.dtype,
                       np.concatenate([self.values, other.values]),
                       np.concatenate([self.mask, other.mask]))
+
+    def key_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted_values, rows)``: the non-null values in stable sorted
+        order and the row id of each, so equal values keep row order.
+
+        Built on first call and memoized on the column (see the module
+        docstring).  Meant for numpy-typed storage; object columns (str,
+        ints beyond int64) sort by python comparison.
+        """
+        index = self._key_index
+        if index is None:
+            rows = np.flatnonzero(~self.mask)
+            values = self.values[rows]
+            order = np.argsort(values, kind="stable")
+            index = self._key_index = (values[order], rows[order])
+        return index
+
+    def lookup(self, keys: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Probe the key index with ``keys``: returns ``(rows, lo, hi)``
+        where ``rows[lo[i]:hi[i]]`` are the rows whose non-null value
+        equals ``keys[i]``, in row order.
+
+        Values and keys compare in their common numpy dtype — the
+        comparison ``==`` between the arrays would make — so int, float
+        and bool compare numerically, ``-0.0`` equals ``0.0`` and NaN
+        equals NaN (numpy's sort order), exactly as the factorized key
+        codes of multi-column joins do.
+        """
+        values, rows = self.key_index()
+        keys = np.asarray(keys)
+        common = np.result_type(values, keys)
+        if values.dtype != common:
+            cast = values.astype(common)
+            if (common.kind == "f" and values.dtype.kind == "i"
+                    and len(cast) and max(-cast[0], cast[-1]) >= 2.0 ** 53):
+                # int64 -> float64 rounds beyond 2**53 and can make distinct
+                # values equal; re-sort the new ties back into row order.
+                order = np.lexsort((rows, cast))
+                cast, rows = cast[order], rows[order]
+            values = cast
+        keys = keys.astype(common, copy=False)
+        lo = np.searchsorted(values, keys, side="left")
+        hi = np.searchsorted(values, keys, side="right")
+        return rows, lo, hi
 
     def codes(self) -> tuple[np.ndarray, int]:
         """Dense integer codes for grouping/joining.

@@ -8,12 +8,15 @@ preparation stack needs, and ``None`` is the universal null.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError, TypeMismatchError
 
 #: The scalar types a column may hold.
 DTYPES = ("int", "float", "str", "bool")
+
+#: Distinct projections memoized per schema (queries project a handful).
+_MAX_PROJECTIONS = 256
 
 _PYTHON_TYPES = {
     "int": int,
@@ -136,6 +139,11 @@ class Schema:
             raise SchemaError(f"duplicate column names: {duplicates}")
         self._fields = tuple(normalized)
         self._index = {f.name: i for i, f in enumerate(self._fields)}
+        self._projections: dict[tuple[str, ...], Schema] | None = None
+
+    def __reduce__(self):
+        # The projection memo is a cache: pickles carry the fields only.
+        return (Schema, (self._fields,))
 
     @property
     def fields(self) -> tuple[Field, ...]:
@@ -197,9 +205,22 @@ class Schema:
             Field(mapping.get(f.name, f.name), f.dtype) for f in self._fields
         )
 
-    def project(self, names: list[str]) -> "Schema":
-        """Return the sub-schema containing ``names`` in the given order."""
-        return Schema(self.field(n) for n in names)
+    def project(self, names: Sequence[str]) -> "Schema":
+        """Return the sub-schema containing ``names`` in the given order.
+
+        Schemas are immutable, so each distinct projection is built once
+        and shared: every table projected to the same names holds one
+        schema object instead of its own copy.
+        """
+        key = tuple(names)
+        if self._projections is None:
+            self._projections = {}
+        sub = self._projections.get(key)
+        if sub is None:
+            sub = Schema(self.field(n) for n in key)
+            if len(self._projections) < _MAX_PROJECTIONS:
+                self._projections[key] = sub
+        return sub
 
     def drop(self, names: list[str]) -> "Schema":
         """Return the schema without the given columns."""

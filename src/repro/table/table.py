@@ -382,6 +382,23 @@ class Table:
                                if self._num_rows else None))
         return out
 
+    def lookup(self, name: str, value: Any) -> "Table":
+        """Rows whose column ``name`` equals ``value``, in row order.
+
+        Probes the column's memoized key index (:meth:`Column.lookup`)
+        instead of scanning: the first lookup on a column sorts it once,
+        later ones cost a binary search plus the matched rows.  Equality is
+        numpy's, as in ``filter(column_array(name) == value)``; nulls never
+        match.
+        """
+        with timed("table.lookup.seconds", span_name="table.lookup") as s:
+            rows, lo, hi = self._columns[self._schema.index_of(name)].lookup(
+                np.asarray([value]))
+            out = self._take(rows[lo[0]:hi[0]])
+            metrics.counter("table.rows_scanned").inc(out._num_rows)
+            s.set(rows_out=out._num_rows)
+        return out
+
     def filter_reference(self, keep: Sequence[bool] | np.ndarray) -> "Table":
         """Row-at-a-time twin of :meth:`filter` (equivalence/perf baseline)."""
         keep = list(keep)
@@ -555,7 +572,8 @@ class Table:
         how: str = "inner",
         suffix: str = "_r",
     ) -> "Table":
-        """Vectorized equi-join on factorized key codes.
+        """Vectorized equi-join: a single numeric key probes the right
+        column's memoized key index, other keys use factorized key codes.
 
         ``on`` is a column name shared by both sides, or a list of
         ``(left, right)`` name pairs.  ``how`` is ``inner`` or ``left``.
@@ -618,50 +636,38 @@ class Table:
         how: str,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The vectorized probe shared by :meth:`join` / :meth:`join_indices`:
-        factorized key codes, sorted-right binary search, repeat expansion.
+        sorted-right binary search, then repeat expansion.
 
-        Returns ``(left_take, right_take, counts)`` where ``counts`` is the
-        per-left-row match count (drives the join span's match_rate).
+        A single numpy-typed key (int / float / bool on both sides) probes
+        the right column's memoized key index (:meth:`Column.lookup`).
+        Multi-column and object keys (str, ints beyond int64) search
+        factorized key codes.  Returns ``(left_take, right_take, counts)``
+        where ``counts`` is the per-left-row match count (drives the join
+        span's match_rate).
         """
-        n_left, n_right = self._num_rows, other._num_rows
-        l_codes, r_codes, any_null_l = _factorize_key_pairs(
-            [self._columns[j] for j in left_keys],
-            [other._columns[j] for j in right_keys],
-        )
+        n_left = self._num_rows
+        lcols = [self._columns[j] for j in left_keys]
+        rcols = [other._columns[j] for j in right_keys]
+        if (len(lcols) == 1 and lcols[0].values.dtype != object
+                and rcols[0].values.dtype != object):
+            r_sorted, lo, hi = rcols[0].lookup(lcols[0].values)
+            counts = np.where(lcols[0].mask, 0, hi - lo)
+            return _expand_matches(r_sorted, lo, counts, how)
 
+        l_codes, r_codes, any_null_l = _factorize_key_pairs(lcols, rcols)
         if r_codes is None:          # keys can never match (str vs number)
             counts = np.zeros(n_left, dtype=np.int64)
             lo = np.zeros(n_left, dtype=np.int64)
             r_sorted = np.empty(0, dtype=np.intp)
         else:
-            valid_r = np.flatnonzero(~_null_rows(
-                [other._columns[j] for j in right_keys]
-            ))
+            valid_r = np.flatnonzero(~_null_rows(rcols))
             r_sorted = valid_r[np.argsort(r_codes[valid_r], kind="stable")]
             sorted_codes = r_codes[r_sorted]
             probe = np.where(any_null_l, np.int64(-1), l_codes)
             lo = np.searchsorted(sorted_codes, probe, side="left")
             hi = np.searchsorted(sorted_codes, probe, side="right")
             counts = np.where(any_null_l, 0, hi - lo)
-
-        if how == "inner":
-            out_counts = counts
-        else:
-            out_counts = np.maximum(counts, 1)
-        total = int(out_counts.sum())
-        left_take = np.repeat(np.arange(n_left), out_counts)
-        offsets = np.cumsum(out_counts) - out_counts
-        within = np.arange(total) - np.repeat(offsets, out_counts)
-        if len(r_sorted):
-            slot = np.minimum(np.repeat(lo, out_counts) + within,
-                              len(r_sorted) - 1)
-            right_take = r_sorted[slot]
-        else:
-            right_take = np.full(total, -1, dtype=np.intp)
-        if how == "left":
-            matched = np.repeat(counts > 0, out_counts)
-            right_take = np.where(matched, right_take, -1)
-        return left_take, right_take, counts
+        return _expand_matches(r_sorted, lo, counts, how)
 
     def join_reference(
         self,
@@ -822,6 +828,33 @@ def _null_rows(columns: list[Column]) -> np.ndarray:
     for col in columns[1:]:
         out |= col.mask
     return out
+
+
+def _expand_matches(
+    r_sorted: np.ndarray, lo: np.ndarray, counts: np.ndarray, how: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left row ``i`` matches right rows ``r_sorted[lo[i]:lo[i] + counts[i]]``;
+    expand to ``(left_take, right_take, counts)`` (``-1`` marks the unmatched
+    left rows a ``how="left"`` join keeps)."""
+    n_left = len(counts)
+    if how == "inner":
+        out_counts = counts
+    else:
+        out_counts = np.maximum(counts, 1)
+    total = int(out_counts.sum())
+    left_take = np.repeat(np.arange(n_left), out_counts)
+    offsets = np.cumsum(out_counts) - out_counts
+    within = np.arange(total) - np.repeat(offsets, out_counts)
+    if len(r_sorted):
+        slot = np.minimum(np.repeat(lo, out_counts) + within,
+                          len(r_sorted) - 1)
+        right_take = r_sorted[slot]
+    else:
+        right_take = np.full(total, -1, dtype=np.intp)
+    if how == "left":
+        matched = np.repeat(counts > 0, out_counts)
+        right_take = np.where(matched, right_take, -1)
+    return left_take, right_take, counts
 
 
 def _factorize_key_pairs(

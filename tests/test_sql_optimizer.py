@@ -479,3 +479,93 @@ class TestRandomizedEquivalence:
             checked += 1
             assert Counter(rows_of(sharded.query(sql))) == Counter(
                 rows_of(db.query(sql, optimizer=False))), sql
+
+
+# -- key-index filter probe against an independent oracle ---------------------
+
+_EQUALITY_ATOMS = ["o_id = {key}", "o_id = {missing}", "cust = 2",
+                   "cust = 2.0", "cust = 2.5", "2 = cust", "amount = 3",
+                   "amount = 2.25", "amount = 99.5"]
+
+
+def _sqlite_db(tables: dict):
+    import sqlite3
+
+    types = {"int": "INTEGER", "float": "REAL", "str": "TEXT"}
+    conn = sqlite3.connect(":memory:")
+    for name, table in tables.items():
+        cols = ", ".join(f"{f.name} {types[f.dtype]}" for f in table.schema)
+        conn.execute(f"CREATE TABLE {name} ({cols})")
+        marks = ", ".join("?" * table.num_columns)
+        conn.executemany(f"INSERT INTO {name} VALUES ({marks})",
+                         list(table.rows()))
+    return conn
+
+
+class TestIndexProbeOracle:
+    """``col = literal`` filters bound to the ``columnar[index]`` backend,
+    checked three ways: optimizer on (the probe), optimizer off (the
+    full-scan naive executor) and stdlib ``sqlite3`` as bags.  No drawn
+    predicate puts NOT over a nullable column (ROADMAP item 5)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_probe_matches_scan_and_sqlite(self, seed):
+        rng = random.Random(5000 + seed)
+        tables = _random_tables(rng, 40 + rng.randrange(60))
+        db = Database(tables)
+        conn = _sqlite_db(tables)
+        n = tables["orders"].num_rows
+        for _ in range(30):
+            atom = rng.choice(_EQUALITY_ATOMS).format(
+                key=rng.randrange(n), missing=n + rng.randrange(5))
+            columns = ["o_id", "cust", "amount", "status"]
+            ours = ["orders"]
+            theirs = ["orders"]
+            if rng.random() < 0.5:
+                ours.append("join customers on cust = cust")
+                theirs.append(
+                    "join customers on orders.cust = customers.cust")
+                columns.append("country")
+            if rng.random() < 0.5:
+                ours.append("join products on prod = p_id")
+                theirs.append("join products on orders.prod = products.p_id")
+                columns.append("category")
+            where = atom
+            if rng.random() < 0.6:
+                extra = _random_predicate(rng, columns)
+                while " not in " in extra:
+                    extra = _random_predicate(rng, columns)
+                where = f"{atom} and ({extra})"
+            sql = (f"select {', '.join(columns)} from {' '.join(ours)} "
+                   f"where {where}")
+            optimized = db.query(sql)
+            naive = db.query(sql, optimizer=False)
+            assert rows_of(optimized) == rows_of(naive), sql
+            qualified = [f"orders.{c}" if c == "cust" else c
+                         for c in columns]
+            lite = conn.execute(
+                f"select {', '.join(qualified)} from {' '.join(theirs)} "
+                f"where {where.replace('cust', 'orders.cust')}").fetchall()
+            assert Counter(rows_of(optimized)) == Counter(lite), sql
+            assert "[columnar[index]]" in db.explain(sql), sql
+
+    def test_analyze_reports_rows_the_probe_examined(self):
+        db = make_db()
+        sql = "select o_id from orders where cust = 1 and amount > 4"
+        plan = db.explain(sql, analyze=True)
+        assert "filter ((cust = 1) and (amount > 4)) [columnar[index]]" in plan
+        where = next(line for line in plan.splitlines()
+                     if line.strip().startswith("-> where"))
+        assert "index=cust" in where and "rows=4->2" in where
+        assert rows_of(db.query(sql)) == [(0,), (10,)]
+
+    @pytest.mark.parametrize("sql", [
+        "select o_id from orders where status = 'gold'",
+        "select o_id from orders where cust = 1 or amount > 4",
+        "select o_id from orders where cust + 0 = 1",
+        "select o_id from orders where cust = true",
+    ])
+    def test_other_shapes_keep_the_scan(self, sql):
+        db = make_db()
+        assert "[columnar[index]]" not in db.explain(sql)
+        assert_equivalent(db, sql)

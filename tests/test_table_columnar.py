@@ -4,6 +4,7 @@ randomized equivalence of the vectorized kernels against their
 
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.table import (
     Schema,
     Table,
 )
+from repro.table.table import _factorize_key_pairs
 from repro.table.storage import (
     content_hash,
     decode_table,
@@ -202,6 +204,185 @@ class TestKernelEquivalence:
         ordered = table.order_by("i")
         non_null = [v for v in ordered.column("i") if v is not None]
         assert non_null == sorted(non_null)
+
+
+def factorized_pairs(left: Table, right: Table, lkey: str, rkey: str,
+                     how: str) -> list[tuple[int, int]]:
+    """The ``(left row, right row)`` pairs the factorized-codes join path
+    defines, enumerated pair by pair: every right row whose code equals the
+    left row's, in right-row order; null keys never match; ``how="left"``
+    keeps an unmatched left row as ``(i, -1)``."""
+    lcol = left.columns()[left.schema.index_of(lkey)]
+    rcol = right.columns()[right.schema.index_of(rkey)]
+    l_codes, r_codes, l_null = _factorize_key_pairs([lcol], [rcol])
+    pairs = []
+    for i in range(left.num_rows):
+        hits = [] if r_codes is None or l_null[i] else [
+            j for j in range(right.num_rows)
+            if not rcol.mask[j] and r_codes[j] == l_codes[i]]
+        pairs += [(i, j) for j in hits]
+        if how == "left" and not hits:
+            pairs.append((i, -1))
+    return pairs
+
+
+def probe_pairs(left: Table, right: Table, lkey: str, rkey: str,
+                how: str) -> list[tuple[int, int]]:
+    left_take, right_take, _schema, _kept = left.join_indices(
+        right, on=[(lkey, rkey)], how=how)
+    return list(zip(left_take.tolist(), right_take.tolist()))
+
+
+def key_table(name: str, values: list, dtype: str) -> Table:
+    return Table.from_columns(
+        Schema([(name, dtype), (f"{name}_row", "int")]),
+        [Column.from_pylist(values, dtype),
+         Column.build(list(range(len(values))), "int")])
+
+
+class TestJoinProbe:
+    """Single numeric-key joins probe the right column's memoized key
+    index; they must emit exactly the pairs of the factorized-codes path
+    (``_factorize_key_pairs``) and, where python equality agrees with
+    numpy's, the rows of :meth:`Table.join_reference`."""
+
+    CASES = {
+        "int/int": ([3, 1, None, 3, 7, -2, 1], "int",
+                    [1, 3, 3, None, 9, 1, -2, 3], "int"),
+        "int/float": ([2**53, 2**53 - 1, 2**53 + 2, -(2**53), 4, None], "int",
+                      [2.0**53 + 2, 4.0, 2.0**53, 4.5, None, 2.0**53,
+                       -(2.0**53), 2.0**53 - 1], "float"),
+        "float/int": ([4.0, 4.5, 2.0**53, None, -1.0], "float",
+                      [4, 2**53, -1, 4, None], "int"),
+        "bool/int": ([True, False, None, True], "bool",
+                     [1, 0, 2, 1, None, 0], "int"),
+        "int/bool": ([1, 0, 2, None], "int", [True, None, False, True],
+                     "bool"),
+        "float/float signed zero": ([0.0, -0.0, 1.5, None], "float",
+                                    [-0.0, 2.0, 0.0, None, 1.5, -0.0],
+                                    "float"),
+        "duplicate right keys": ([5, 5, 6], "int", [5, 6, 5, 5, 6, 5], "int"),
+        "nulls only": ([None, None], "int", [None, 1], "int"),
+        "empty left": ([], "int", [1, 2], "int"),
+        "empty right": ([1, None], "int", [], "float"),
+        "both empty": ([], "float", [], "float"),
+    }
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_factorize_path_and_reference(self, case, how):
+        lvals, ldtype, rvals, rdtype = self.CASES[case]
+        left, right = key_table("a", lvals, ldtype), key_table("b", rvals,
+                                                              rdtype)
+        assert (probe_pairs(left, right, "a", "b", how)
+                == factorized_pairs(left, right, "a", "b", how))
+        assert right.columns()[0]._key_index is not None   # probe path ran
+        assert (left.join(right, on=[("a", "b")], how=how)
+                == left.join_reference(right, on=[("a", "b")], how=how))
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_int_beyond_2_53_against_float_follows_float64(self, how):
+        # int64 -> float64 rounds 2**53 + 1 to 2**53, the same value the
+        # factorized codes compare; the probe must also keep right-row
+        # order among the ints that round together.
+        left = key_table("a", [2.0**53, 5.0, 2.0**53 + 2], "float")
+        right = key_table("b", [2**53 + 1, 2**53, 5, 2**53 + 1, 2**53 + 2,
+                                2**53 + 3], "int")
+        pairs = probe_pairs(left, right, "a", "b", how)
+        assert pairs == factorized_pairs(left, right, "a", "b", how)
+        assert pairs[:3] == [(0, 0), (0, 1), (0, 3)]
+        flipped = probe_pairs(right, left, "b", "a", how)
+        assert flipped == factorized_pairs(right, left, "b", "a", how)
+        # 2**53 + 1 rounds down onto the largest value, 2**53 itself.
+        edge = key_table("b", [2**53 + 1, 7, 2**53, 2**53 + 1], "int")
+        assert probe_pairs(left, edge, "a", "b", how)[:3] == [
+            (0, 0), (0, 2), (0, 3)]
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_nan_keys_match_as_the_factorized_codes_do(self, how):
+        nan = float("nan")
+        left = key_table("a", [nan, 1.0, None, nan], "float")
+        right = key_table("b", [nan, None, 1.0, nan], "float")
+        pairs = probe_pairs(left, right, "a", "b", how)
+        assert pairs == factorized_pairs(left, right, "a", "b", how)
+        assert (0, 0) in pairs and (0, 3) in pairs   # non-null NaN == NaN
+        assert probe_pairs(left, key_table("b", [1, 2], "int"), "a", "b",
+                           how) == factorized_pairs(
+            left, key_table("b", [1, 2], "int"), "a", "b", how)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_random_numeric_keys(self, seed, how):
+        rng = np.random.default_rng(seed)
+
+        def keys(n, dtype):
+            raw = rng.integers(-4, 5, n)
+            vals = {"int": [int(v) for v in raw],
+                    "float": [float(v) / 2 for v in raw],
+                    "bool": [bool(v > 0) for v in raw]}[dtype]
+            return [None if rng.random() < 0.2 else v for v in vals]
+
+        for ldtype in ("int", "float", "bool"):
+            for rdtype in ("int", "float", "bool"):
+                left = key_table("a", keys(int(rng.integers(0, 30)), ldtype),
+                                 ldtype)
+                right = key_table("b", keys(int(rng.integers(0, 30)),
+                                            rdtype), rdtype)
+                assert (probe_pairs(left, right, "a", "b", how)
+                        == factorized_pairs(left, right, "a", "b", how))
+                assert (left.join(right, on=[("a", "b")], how=how)
+                        == left.join_reference(right, on=[("a", "b")],
+                                               how=how))
+
+    def test_memo_is_shared_by_project_and_rename(self):
+        table = Table.from_dict({"k": [3, 1, 2, 1], "v": [1.0, 2.0, 3.0,
+                                                          4.0]})
+        probe = Table.from_dict({"q": [1]})
+        projected = table.project(["k"])
+        renamed = table.rename({"k": "kk"})
+        assert probe.join(projected, on=[("q", "k")]).num_rows == 2
+        index = table.columns()[0]._key_index
+        assert index is not None
+        assert renamed.columns()[0].key_index() is index
+        assert probe.join(renamed, on=[("q", "kk")]).num_rows == 2
+        assert table.columns()[0]._key_index is index
+        values, rows = index
+        assert values.tolist() == [1, 1, 2, 3] and rows.tolist() == [1, 3, 2,
+                                                                     0]
+
+    def test_memo_is_not_pickled(self):
+        table = Table.from_dict({"k": [3, None, 2]})
+        col = table.columns()[0]
+        col.key_index()
+        clone = pickle.loads(pickle.dumps(table))
+        clone_col = clone.columns()[0]
+        assert clone_col._key_index is None
+        assert clone == table
+        assert pickle.loads(pickle.dumps(col))._key_index is None
+        assert clone_col.key_index()[1].tolist() == [2, 0]
+
+    def test_object_keys_keep_the_factorized_path(self):
+        left = Table.from_dict({"k": [2**70, 1]})
+        right = Table.from_dict({"k": [1, 2**70, 1]})
+        assert left.columns()[0].values.dtype == object
+        out = left.join(right, on="k")
+        assert out == left.join_reference(right, on="k")
+        assert right.columns()[0]._key_index is None
+
+
+class TestSchemaProjection:
+    def test_projections_are_shared_and_not_pickled(self):
+        schema = Schema([("a", "int"), ("b", "str"), ("c", "float")])
+        sub = schema.project(["c", "a"])
+        assert sub == Schema([("c", "float"), ("a", "int")])
+        assert schema.project(("c", "a")) is sub
+        table = Table.from_dict({"a": [1], "b": ["x"], "c": [1.5]})
+        assert (table.project(["b"]).schema
+                is table.project(["b"]).schema)
+        clone = pickle.loads(pickle.dumps(schema))
+        assert clone == schema and clone._projections is None
+        with pytest.raises(SchemaError):
+            schema.project(["missing"])
 
 
 class TestOrderByStability:

@@ -11,10 +11,11 @@ the DBSP construction (SNIPPETS.md Snippet 3):
   :class:`Trace` — its accumulated input, indexed by join key — and a
   delta probes the *other* side's trace instead of replaying history.
   Group-by folds each delta row into running per-group aggregate state
-  (count/sum accumulators, net value multiplicities for min/max) and
-  emits retraction/assertion pairs against its last output — O(delta),
-  never a group re-scan.  Distinct tracks net multiplicities and emits
-  only presence flips.
+  (count/sum accumulators, net value multiplicities plus a cached extreme
+  for min/max) and emits retraction/assertion pairs against its last
+  output — O(delta); only a min/max whose extreme was retracted rescans
+  its group's values.  Distinct tracks net multiplicities and emits only
+  presence flips.
 
 The batch kernels on :class:`~repro.table.Table` are the semantics —
 ``incremental(deltas) == batch(final_state)`` is property-tested for every
@@ -25,6 +26,7 @@ only on dyadic-grid data (docs/ivm.md).
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Sequence
 
 import numpy as np
@@ -75,32 +77,52 @@ def _any_null(table: Table, key_names: Sequence[str]) -> np.ndarray:
 
 
 class Trace:
-    """An operator's accumulated input: a Z-set plus a key index.
+    """An operator's accumulated input: append-only Z-set parts plus a key
+    index.
 
     ``index`` maps a key (the bare value for single-column keys, a tuple
-    otherwise) to the physical row positions carrying it, so a delta row
-    finds its matches with one dict lookup followed by a vectorized
-    gather.  Appends are O(delta); consolidation garbage
-    (cancelled ±w pairs) is bounded by periodic compaction.
+    otherwise) to the positions carrying it in the *concatenated* trace,
+    so a delta row finds its matches with one dict lookup followed by a
+    vectorized gather.  :meth:`update` appends the delta as a pending part
+    and indexes its keys at their offsets — O(delta), no copy of the
+    accumulated rows.  The parts are concatenated, in one pass, only when
+    something reads :attr:`zset`: a probe from the other join side, or
+    compaction.  A join whose other side never changes therefore never
+    copies this side's state on a push.  Consolidation garbage (cancelled
+    ±w pairs) is bounded by periodic compaction.
 
     ``skip_null_keys=True`` (joins) drops null-keyed rows entirely — they
     can never match, per SQL equality.  ``False`` (group-by) indexes them
     like any other key: null group keys bucket together.
     """
 
-    __slots__ = ("zset", "key_names", "skip_null_keys", "index",
+    __slots__ = ("_parts", "_len", "key_names", "skip_null_keys", "index",
                  "_compacted_len")
 
     def __init__(self, schema: Schema, key_names: Sequence[str], *,
                  skip_null_keys: bool):
-        self.zset = ZSet.empty(schema)
+        self._parts = [ZSet.empty(schema)]
+        self._len = 0
         self.key_names = list(key_names)
         self.skip_null_keys = skip_null_keys
         self.index: dict[Any, list[int]] = {}
         self._compacted_len = 0
 
     def __len__(self) -> int:
-        return len(self.zset)
+        return self._len
+
+    @property
+    def zset(self) -> ZSet:
+        """The whole trace as one Z-set (concatenates pending parts)."""
+        if len(self._parts) > 1:
+            self._parts = [ZSet.concat(self._parts)]
+            metrics.counter("ivm.trace.concats").inc()
+        return self._parts[0]
+
+    def describe(self) -> str:
+        """Rows kept at the last compaction + rows appended since."""
+        return (f"{self._compacted_len} consolidated + "
+                f"{self._len - self._compacted_len} pending rows")
 
     def update(self, delta: ZSet) -> None:
         if len(delta) == 0:
@@ -111,8 +133,12 @@ class Trace:
                 delta = delta.compress(~nulls)
                 if len(delta) == 0:
                     return
-        start = len(self.zset)
-        self.zset = self.zset + delta
+        start = self._len
+        if start:
+            self._parts.append(delta)
+        else:
+            self._parts = [delta]
+        self._len += len(delta)
         setdefault = self.index.setdefault
         for offset, key in enumerate(_keys_of(delta.payload,
                                               self.key_names)):
@@ -120,19 +146,16 @@ class Trace:
         metrics.counter("ivm.trace.rows").inc(len(delta))
         self._maybe_compact()
 
-    def rows_for(self, key: Any) -> list[int]:
-        return self.index.get(key, [])
-
     def _maybe_compact(self) -> None:
-        n = len(self.zset)
+        n = self._len
         if n <= _COMPACT_FLOOR or n <= _COMPACT_GROWTH * self._compacted_len:
             return
         flat = self.zset.consolidate()
         # Record the post-compaction size even when nothing cancelled, so
         # the next attempt waits for another 2x of growth (no quadratic
         # re-consolidation on cancel-free streams).
-        self.zset = flat
-        self._compacted_len = len(flat)
+        self._parts = [flat]
+        self._len = self._compacted_len = len(flat)
         if len(flat) < n:
             self.index = {}
             for pos, key in enumerate(_keys_of(flat.payload,
@@ -163,6 +186,15 @@ class Node:
         """
         raise NotImplementedError
 
+    def inputs(self) -> tuple["Node", ...]:
+        """Child nodes, in plan order."""
+        return (self.input,)
+
+    def describe(self) -> str:
+        """One line of :meth:`MaterializedView.explain`: the operator and
+        the size of any state it keeps."""
+        raise NotImplementedError
+
     def _empty(self) -> ZSet:
         return ZSet.empty(self.schema)
 
@@ -178,6 +210,12 @@ class ScanNode(Node):
     def delta(self, changes: dict) -> ZSet:
         found = changes.get(self.stream)
         return found if found is not None else self._empty()
+
+    def inputs(self) -> tuple[Node, ...]:
+        return ()
+
+    def describe(self) -> str:
+        return f"scan {self.stream.name}"
 
 
 class FilterNode(Node):
@@ -206,6 +244,9 @@ class FilterNode(Node):
         if len(d) == 0:
             return d
         return d.compress(self._mask(d.payload))
+
+    def describe(self) -> str:
+        return "filter"
 
 
 class ProjectNode(Node):
@@ -236,6 +277,12 @@ class ProjectNode(Node):
             out = out.rename(self.rename_map)
         return out
 
+    def describe(self) -> str:
+        names = [name if name not in self.rename_map
+                 else f"{name} AS {self.rename_map[name]}"
+                 for name in self.names]
+        return f"project {', '.join(names)}"
+
 
 class UnionNode(Node):
     """Linear: ``ΔA + ΔB`` (bag union, ``UNION ALL``)."""
@@ -259,6 +306,12 @@ class UnionNode(Node):
         if len(dr) == 0:
             return dl
         return dl + dr
+
+    def inputs(self) -> tuple[Node, ...]:
+        return (self.left, self.right)
+
+    def describe(self) -> str:
+        return "union all"
 
 
 class JoinNode(Node):
@@ -312,10 +365,16 @@ class JoinNode(Node):
         parts = [p for p in parts if len(p)]
         if not parts:
             return self._empty()
-        out = parts[0]
-        for part in parts[1:]:
-            out = out + part
-        return out
+        return ZSet.concat(parts)
+
+    def inputs(self) -> tuple[Node, ...]:
+        return (self.left, self.right)
+
+    def describe(self) -> str:
+        on = ", ".join(f"{l} = {r}" for l, r in zip(self.left_key_names,
+                                                     self.right_key_names))
+        return (f"join {on} (left trace: {self._left_trace.describe()}; "
+                f"right trace: {self._right_trace.describe()})")
 
     def _probe(self, delta: ZSet, trace: Trace, *,
                delta_on_left: bool) -> ZSet:
@@ -344,17 +403,83 @@ class JoinNode(Node):
         return ZSet(payload, lz.weights * rz.weights)
 
 
+class _Extreme:
+    """One group's min/max state: the net multiplicity of each distinct
+    value, plus the cached result of ``max(net)`` (``min`` in
+    :class:`_Min`).
+
+    ``max`` is a left fold over the dict's insertion order: keep the
+    running value, replace it when ``v > running``.  A value new to the
+    map is appended at the end of that order, so adding it is one fold
+    step on the cache.  A changed multiplicity moves no key.  Removing a
+    key changes the result only when it *was* the result (distinct keys
+    never compare equal, and ``0.0``/``-0.0`` share a key); that marks the
+    cache stale and the next :meth:`value` rescans.  A NaN, which compares
+    false both ways, breaks that argument, so while the map may hold a
+    value not equal to itself every read rescans.  :meth:`value` therefore
+    always equals ``max(net)`` exactly — including which of ``0.0`` and
+    ``-0.0`` it returns and every NaN order effect.
+    """
+
+    __slots__ = ("net", "best", "stale", "nan")
+
+    pick = staticmethod(max)
+    beats = staticmethod(operator.gt)
+
+    def __init__(self) -> None:
+        self.net: dict[Any, int] = {}
+        self.best: Any = None
+        self.stale = False
+        self.nan = False
+
+    def fold(self, v: Any, w: int) -> None:
+        """Add ``w`` copies (negative: retractions) of non-null ``v``."""
+        net = self.net
+        old = net.get(v, 0)
+        new = old + w
+        if new:
+            net[v] = new
+            if not (old or self.stale) and (
+                    self.best is None or self.beats(v, self.best)):
+                self.best = v
+        else:
+            del net[v]
+            if v == self.best:
+                self.stale = True
+        if v != v:
+            self.nan = self.stale = True
+
+    def value(self) -> Any:
+        """``max(net)`` (``None`` when empty), rescanning only when stale."""
+        if self.stale:
+            metrics.counter("ivm.group.extreme_rescans").inc()
+            net = self.net
+            self.best = self.pick(net) if net else None
+            if self.nan:
+                self.nan = any(k != k for k in net)
+            self.stale = self.nan
+        return self.best
+
+
+class _Min(_Extreme):
+    __slots__ = ()
+
+    pick = staticmethod(min)
+    beats = staticmethod(operator.lt)
+
+
 class GroupByNode(Node):
     """Incremental group-by over running per-group aggregate state.
 
     No trace: the node folds every delta row directly into a small state
     record per live group — net row multiplicity, plus per aggregate a
     null-skipping count, an exact running sum, or (for min/max, which are
-    not subtractable) a net-multiplicity map over the group's values.  A
-    batch therefore costs O(delta rows x aggregates) to absorb plus
-    O(touched groups) to emit — never a re-scan of group contents, and
-    independent of both table size and group sizes (min/max pay
-    O(distinct values in group) per touched group at emit time).
+    not subtractable) a net-multiplicity map over the group's values with
+    its current extreme cached beside it (:class:`_Extreme`).  A batch
+    therefore costs O(delta rows x aggregates) to absorb plus O(touched
+    groups) to emit, independent of both table size and group sizes —
+    except that a min/max whose extreme was retracted rescans that
+    group's distinct values once (``ivm.group.extreme_rescans``).
 
     For each key the delta touches, the node emits ``(old_row, -1),
     (new_row, +1)`` against its cached last output — the standard DBSP
@@ -396,7 +521,7 @@ class GroupByNode(Node):
         self.streams = input_node.streams
         # key tuple -> [net_rows, state_0, state_1, ...] with one state
         # slot per aggregate: None for count_star (derived from net_rows),
-        # int for count, [count, acc] for sum/avg, {value: net} for
+        # int for count, [count, acc] for sum/avg, an _Extreme for
         # min/max.
         self._groups: dict[tuple[Any, ...], list[Any]] = {}
         self._out_cache: dict[tuple[Any, ...], tuple[Any, ...]] = {}
@@ -411,7 +536,7 @@ class GroupByNode(Node):
             elif fn in ("sum", "avg"):
                 state.append([0, 0])
             else:
-                state.append({})
+                state.append(_Min() if fn == "min" else _Extreme())
         return state
 
     def delta(self, changes: dict) -> ZSet:
@@ -477,13 +602,8 @@ class GroupByNode(Node):
                     acc[1] += v * wi
                     if acc[0] == 0:
                         acc[1] = 0  # all values retracted: drop residue
-                else:  # min/max: net multiplicity per value
-                    net = state[slot]
-                    new = net.get(v, 0) + wi
-                    if new:
-                        net[v] = new
-                    else:
-                        del net[v]
+                else:
+                    state[slot].fold(v, wi)
         return affected
 
     def _fold_bulk(self, d: ZSet) -> dict[tuple[Any, ...], None]:
@@ -548,15 +668,10 @@ class GroupByNode(Node):
             dweights = w.tolist()
             ginv = inv.tolist()
             for slot, _fn, values in minmax:
-                for i, v in enumerate(values):
-                    if v is None:
-                        continue
-                    net_map = gstates[ginv[i]][slot]
-                    new = net_map.get(v, 0) + dweights[i]
-                    if new:
-                        net_map[v] = new
-                    else:
-                        del net_map[v]
+                folds = [gstate[slot].fold for gstate in gstates]
+                for v, g, wi in zip(values, ginv, dweights):
+                    if v is not None:
+                        folds[g](v, wi)
         return affected
 
     def _group_row(self, key: tuple[Any, ...]) -> tuple[Any, ...] | None:
@@ -588,14 +703,14 @@ class GroupByNode(Node):
             else:
                 # min/max over values with net multiplicity > 0: valid
                 # because the upstream state is a true multiset.
-                net = state[slot]
-                if not net:
-                    row.append(None)
-                elif fn == "min":
-                    row.append(min(net))
-                else:
-                    row.append(max(net))
+                row.append(state[slot].value())
         return tuple(row)
+
+    def describe(self) -> str:
+        aggs = ", ".join(f"{fn}({col or '*'}) AS {out}"
+                         for fn, col, out in self._aggs)
+        return (f"group_by {', '.join(self.keys)}: {aggs} "
+                f"({len(self._groups)} live groups)")
 
 
 class DistinctNode(Node):
@@ -638,3 +753,6 @@ class DistinctNode(Node):
             return self._empty()
         payload = Table.from_rows(rows, schema=self.schema)
         return ZSet(payload, np.asarray(weights, dtype=np.int64))
+
+    def describe(self) -> str:
+        return f"distinct ({len(self._net)} live rows)"

@@ -84,10 +84,7 @@ class StreamTable:
     def _state(self) -> ZSet:
         """The net state as one consolidated Z-set (lazily folded)."""
         if self._flat is None:
-            combined = self._parts[0]
-            for part in self._parts[1:]:
-                combined = combined + part
-            self._flat = combined.consolidate()
+            self._flat = ZSet.concat(self._parts).consolidate()
             self._parts = [self._flat]
         return self._flat
 
@@ -308,6 +305,7 @@ class MaterializedView:
         self._parts: list[ZSet] = []
         self._output: ZSet | None = None
         self._table: Table | None = None
+        self._last_push: tuple[int, int] | None = None
         streams = sorted(root.streams, key=lambda s: s.name)
         seed = {stream: stream._state for stream in streams}
         self._parts.append(root.delta(seed))
@@ -329,6 +327,7 @@ class MaterializedView:
                 self._parts.append(out)
                 self._output = None
                 self._table = None
+            self._last_push = (len(delta), len(out))
             metrics.counter("ivm.views.applies").inc()
             metrics.counter("ivm.views.rows_emitted").inc(len(out))
             s.set(rows_out=len(out))
@@ -336,10 +335,7 @@ class MaterializedView:
     def output(self) -> ZSet:
         """The maintained result as a consolidated Z-set."""
         if self._output is None or len(self._parts) > 1:
-            combined = self._parts[0]
-            for part in self._parts[1:]:
-                combined = combined + part
-            flat = combined.consolidate()
+            flat = ZSet.concat(self._parts).consolidate()
             self._parts = [flat]
             self._output = flat
         return self._output
@@ -356,6 +352,24 @@ class MaterializedView:
                 out = out.limit(self.limit)
             self._table = out
         return self._table
+
+    def explain(self) -> str:
+        """Text rendering of the operator tree and its state: each join
+        trace's consolidated and pending rows, each group-by's live
+        groups, and the delta rows in and out of the last push."""
+        if self._last_push is None:
+            push = "no push yet"
+        else:
+            push = "last push: %d delta rows in, %d out" % self._last_push
+        lines = [f"view {self.name} ({push})"]
+
+        def walk(node: Node, depth: int) -> None:
+            lines.append("  " * depth + node.describe())
+            for child in node.inputs():
+                walk(child, depth + 1)
+
+        walk(self.root, 1)
+        return "\n".join(lines)
 
     def detach(self) -> None:
         """Stop maintaining this view (streams drop their reference)."""

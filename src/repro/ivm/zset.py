@@ -5,10 +5,11 @@ an int64 weight vector — one weight per payload row.  A table is the
 special case where every weight is ``+1``; a batch of changes (a *delta*)
 is a Z-set whose weights are ``+1`` for inserted rows and ``-1`` for
 deleted ones.  State mutation is algebraic summation: applying a delta is
-``state + delta`` followed by :meth:`~ZSet.consolidate`, which sums
-weights of equal rows (``Table.row_codes`` is the equality key, nulls
-matching nulls) and physically drops rows whose weights annihilate to
-zero — the DBSP "Ghost property" (SNIPPETS.md Snippet 3).
+``state + delta`` (:meth:`~ZSet.concat` for many parts at once) followed
+by :meth:`~ZSet.consolidate`, which sums weights of equal rows
+(``Table.row_codes`` is the equality key, nulls matching nulls) and
+physically drops rows whose weights annihilate to zero — the DBSP "Ghost
+property" (SNIPPETS.md Snippet 3).
 
 Payloads ride the trusted-construction path throughout: every operation
 derives new tables from already-validated column arrays via ``take`` /
@@ -108,16 +109,25 @@ class ZSet:
 
     # -- algebra ----------------------------------------------------------
 
+    @staticmethod
+    def concat(parts: Sequence["ZSet"]) -> "ZSet":
+        """N-ary addition: one concatenation per column and one for the
+        weights, so summing ``k`` parts copies each row once (a pairwise
+        ``+`` fold would copy the early parts ``k`` times)."""
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        for part in parts[1:]:
+            if part.schema != first.schema:
+                raise IvmError(
+                    f"z-set addition needs identical schemas: "
+                    f"{first.schema} vs {part.schema}"
+                )
+        return ZSet(Table.concat([p.payload for p in parts]),
+                    np.concatenate([p.weights for p in parts]))
+
     def __add__(self, other: "ZSet") -> "ZSet":
-        if self.schema != other.schema:
-            raise IvmError(
-                f"z-set addition needs identical schemas: "
-                f"{self.schema} vs {other.schema}"
-            )
-        return ZSet(
-            self.payload.union(other.payload),
-            np.concatenate([self.weights, other.weights]),
-        )
+        return ZSet.concat([self, other])
 
     def negate(self) -> "ZSet":
         return ZSet(self.payload, -self.weights)

@@ -67,18 +67,9 @@ def _shard_map(pmap: BaseMap | None, fn: Callable[[int], Any], n: int,
 
 
 def concat_tables(schema: Schema, tables: Sequence[Table]) -> Table:
-    """Concatenate same-schema tables columnwise (one allocation per
-    column, masks preserved exactly)."""
-    total = sum(t.num_rows for t in tables)
-    columns = []
-    for j, field in enumerate(schema):
-        parts = [t.columns()[j] for t in tables]
-        columns.append(Column(
-            field.dtype,
-            np.concatenate([p.values for p in parts]),
-            np.concatenate([p.mask for p in parts]),
-        ))
-    return Table._trusted(schema, tuple(columns), num_rows=total)
+    """Concatenate same-schema tables columnwise (:meth:`Table.concat`
+    under ``schema``)."""
+    return Table.concat(tables, schema)
 
 
 # -- filter ----------------------------------------------------------------

@@ -196,11 +196,6 @@ class Column:
         """Boolean-mask row filter."""
         return Column(self.dtype, self.values[keep], self.mask[keep])
 
-    def concat(self, other: "Column") -> "Column":
-        return Column(self.dtype,
-                      np.concatenate([self.values, other.values]),
-                      np.concatenate([self.mask, other.mask]))
-
     def key_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted_values, rows)``: the non-null values in stable sorted
         order and the row id of each, so equal values keep row order.

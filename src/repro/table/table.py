@@ -38,6 +38,16 @@ from repro.table.schema import Field, Schema, coerce, infer_dtype
 
 Row = tuple[Any, ...]
 
+#: dtype -> cell types :func:`coerce` returns unchanged: ``None`` and the
+#: dtype's exact python type.  Anything else (``bool`` in an ``int``
+#: column, ``int`` in a ``float`` one) takes the coercing path.
+_EXACT_TYPES: dict[str, frozenset[type]] = {
+    "int": frozenset({int, type(None)}),
+    "float": frozenset({float, type(None)}),
+    "str": frozenset({str, type(None)}),
+    "bool": frozenset({bool, type(None)}),
+}
+
 _AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
     "count": lambda xs: len(xs),
     "sum": lambda xs: sum(xs) if xs else None,
@@ -138,13 +148,14 @@ class Table:
                 raise SchemaError(
                     f"row {row!r} has {len(row)} values; schema expects {len(schema)}"
                 )
-        built = [
-            Column.build(
-                [coerce(row[i], field.dtype) for row in materialized],
-                field.dtype,
-            )
-            for i, field in enumerate(schema)
-        ]
+        built = []
+        for i, field in enumerate(schema):
+            cells = [row[i] for row in materialized]
+            # coerce() is the identity on None and on the dtype's exact
+            # python type, so a column made only of those skips it.
+            if not set(map(type, cells)) <= _EXACT_TYPES[field.dtype]:
+                cells = [coerce(v, field.dtype) for v in cells]
+            built.append(Column.build(cells, field.dtype))
         return cls._trusted(schema, tuple(built), num_rows=len(materialized))
 
     def append_rows(self, rows: Iterable[Sequence[Any]]) -> "Table":
@@ -162,22 +173,7 @@ class Table:
         if not materialized:
             return Table._trusted(self._schema, self._columns,
                                   num_rows=self._num_rows)
-        for row in materialized:
-            if len(row) != len(self._schema):
-                raise SchemaError(
-                    f"row {row!r} has {len(row)} values; schema expects "
-                    f"{len(self._schema)}"
-                )
-        tails = [
-            Column.build(
-                [coerce(row[i], field.dtype) for row in materialized],
-                field.dtype,
-            )
-            for i, field in enumerate(self._schema)
-        ]
-        cols = tuple(a.concat(b) for a, b in zip(self._columns, tails))
-        return Table._trusted(self._schema, cols,
-                              num_rows=self._num_rows + len(materialized))
+        return Table.concat([self, Table.from_rows(materialized, self._schema)])
 
     @classmethod
     def from_dict(cls, data: dict[str, Sequence[Any]]) -> "Table":
@@ -561,9 +557,26 @@ class Table:
             raise SchemaError(
                 f"union requires identical schemas: {self._schema} vs {other._schema}"
             )
-        cols = tuple(a.concat(b) for a, b in zip(self._columns, other._columns))
-        return Table._trusted(self._schema, cols,
-                              num_rows=self._num_rows + other._num_rows)
+        return Table.concat([self, other])
+
+    @staticmethod
+    def concat(tables: Sequence["Table"],
+               schema: Schema | None = None) -> "Table":
+        """Concatenate tables columnwise: one allocation per column, masks
+        preserved exactly.
+
+        ``schema`` defaults to the first table's.  The tables' schemas are
+        trusted to match it (callers check, as :meth:`union` does).
+        """
+        schema = tables[0]._schema if schema is None else schema
+        columns = tuple(
+            Column(field.dtype,
+                   np.concatenate([t._columns[j].values for t in tables]),
+                   np.concatenate([t._columns[j].mask for t in tables]))
+            for j, field in enumerate(schema)
+        )
+        return Table._trusted(schema, columns,
+                              num_rows=sum(t._num_rows for t in tables))
 
     def join(
         self,

@@ -299,6 +299,32 @@ class TestOperatorsThroughViews:
         assert compactions > 0
 
 
+    def test_join_static_side_never_concatenates_pushed_trace(self):
+        obs.reset()
+        schema = [("k", "int"), ("v", "int")]
+        left = StreamTable(Table.from_rows([(i % 5, i) for i in range(200)],
+                                           schema=schema), name="l")
+        right = StreamTable(Table.from_rows([(i, f"g{i}") for i in range(5)],
+                                            schema=[("k", "int"),
+                                                    ("label", "str")]),
+                            name="r")
+        v = left.view().join(right, on="k").materialize("c")
+        concats = obs.metrics.counter("ivm.trace.concats")
+        # 200 seeded rows + 60 pushed stay under the 2x compaction point
+        for i in range(20):
+            left.insert_rows([(i % 5, 1000 + i), (i % 7, 2000 + i)])
+            left.delete_rows([(i % 5, i)])
+        assert concats.value == 0
+        assert obs.metrics.counter("ivm.trace.compactions").value == 1
+        batch = left.snapshot().join(right.snapshot(), on="k")
+        assert bag(v.table()) == bag(batch)
+        # a right-side push probes the left trace: one concatenation
+        right.insert_rows([(3, "again")])
+        assert concats.value == 1
+        batch = left.snapshot().join(right.snapshot(), on="k")
+        assert bag(v.table()) == bag(batch)
+
+
 class TestMaterializedView:
     def test_seeds_from_current_stream_state(self):
         s = StreamTable(make_orders())
@@ -332,6 +358,29 @@ class TestMaterializedView:
         v.detach()
         s.insert_rows([(12, "u5", 6.0)])
         assert bag(v.table()) == before
+
+    def test_explain_shows_tree_state_and_last_push(self):
+        orders = StreamTable(make_orders(), name="orders")
+        users = StreamTable(make_users(), name="users")
+        v = (orders.view()
+             .filter(lambda t: t.column_array("amount") > 0)
+             .join(users, on="uid")
+             .group_by(["country"], [("max", "amount", "top"),
+                                     ("count_star", None, "n")])
+             .materialize("spend"))
+        assert v.explain().splitlines()[0] == "view spend (no push yet)"
+        orders.insert_rows([(20, "u1", 2.0), (21, "u2", -1.0)])
+        # below the compaction floor every trace row is still pending
+        assert v.explain().splitlines() == [
+            "view spend (last push: 2 delta rows in, 2 out)",
+            "  group_by country: max(amount) AS top, count_star(*) AS n "
+            "(2 live groups)",
+            "    join uid = uid (left trace: 0 consolidated + 4 pending "
+            "rows; right trace: 0 consolidated + 3 pending rows)",
+            "      filter",
+            "        scan orders",
+            "      scan users",
+        ]
 
     def test_multiple_views_one_stream(self):
         s = StreamTable(make_orders())

@@ -23,6 +23,7 @@ from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.errors import FaultInjectionError
 from repro.ivm import PUSH_POINT, StreamTable
 from repro.resilience import FaultInjector, set_injector
@@ -255,3 +256,186 @@ class TestPushAtomicityUnderChaos:
         )
         batch = stream.snapshot().group_by(["cat"], AGGS)
         assert bag(view.table()) == bag(batch)
+
+
+# -- min/max extreme cache --------------------------------------------------
+
+EXT_SCHEMA = [("g", "str"), ("f", "float"), ("i", "int")]
+EXT_AGGS = [("min", "f", "f_lo"), ("max", "f", "f_hi"),
+            ("min", "i", "i_lo"), ("max", "i", "i_hi")]
+NAN = float("nan")
+
+
+def canon(value):
+    """Exact identity of a cell: floats by bit pattern, so ``-0.0`` and
+    ``0.0`` differ and every NaN is equal to every other."""
+    if isinstance(value, float):
+        return "nan" if value != value else value.hex()
+    return value
+
+
+def random_ext_row(rng: random.Random, nan: bool) -> tuple:
+    # ints in the float column and a bool in the int column take the
+    # coercing ingest path; the rest are exact-typed.
+    floats = [None, -0.0, 0.0, 1, 1.0, -2.5, 2.5, 3, 7.0, -7]
+    if nan:
+        floats += [NAN, NAN]
+    return (rng.choice("abcd"), rng.choice(floats),
+            rng.choice([None, -3, 0, 1, True, 2, 5]))
+
+
+class ExtremeReference:
+    """Per group, net multiplicity per value folded in push order (the
+    node's own order), with min/max recomputed from scratch on every
+    read — the definition the cached extremes must reproduce exactly."""
+
+    def __init__(self) -> None:
+        self.groups: dict = {}
+
+    def push(self, rows: list, weight: int) -> None:
+        for g, f, i in Table.from_rows(rows, schema=EXT_SCHEMA).rows():
+            state = self.groups.setdefault(g, [0, {}, {}])
+            state[0] += weight
+            for net, v in ((state[1], f), (state[2], i)):
+                if v is None:
+                    continue
+                new = net.get(v, 0) + weight
+                if new:
+                    net[v] = new
+                else:
+                    del net[v]
+        for g in [g for g, state in self.groups.items() if state[0] <= 0]:
+            del self.groups[g]
+
+    def rows(self) -> dict:
+        out = {}
+        for g, (_n, fnet, inet) in self.groups.items():
+            out[g] = tuple(canon(pick(net) if net else None)
+                           for net in (fnet, inet) for pick in (min, max))
+        return out
+
+
+class TestExtremeCache:
+    """Cached min/max extremes equal ``min(net)`` / ``max(net)`` exactly
+    under retractions, through both fold paths."""
+
+    @staticmethod
+    def _live(state: Counter, group=None) -> list:
+        """Deletable live rows (a NaN row can never be matched again)."""
+        return [row for row in state.elements()
+                if row[1] == row[1] and (group is None or row[0] == group)]
+
+    def _check(self, view, stream, reference: ExtremeReference,
+               nan: bool) -> None:
+        got = {row[0]: tuple(canon(v) for v in row[1:])
+               for row in view.table().rows()}
+        assert got == reference.rows()
+        if not nan:
+            batch = stream.snapshot().group_by(["g"], EXT_AGGS)
+            assert bag(view.table()) == bag(batch)
+
+    def _targeted(self, rng: random.Random, state: Counter) -> tuple:
+        """``(inserts, deletes)`` aimed at one group's extremes."""
+        group = rng.choice("abcd")
+        live = self._live(state, group)
+        op = rng.random()
+        if not live or op < 0.2:
+            # (re)birth: a fresh group, or more rows for a live one
+            return [random_ext_row(rng, False) for _ in range(3)], []
+        with_f = [r for r in live if r[1] is not None] or live
+        if op < 0.5:
+            # retract the current min or max (one copy of it)
+            pick = max if rng.random() < 0.5 else min
+            return [], [pick(with_f, key=lambda r: r[1] or 0)]
+        if op < 0.75:
+            # tie: more copies of the current max, then delete one
+            top = max(with_f, key=lambda r: r[1] or 0)
+            return [top, top], [top]
+        # empty the group (it is reborn by a later insert)
+        return [], live
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_extremes_equal_recomputed_min_max(self, seed, nan, bulk):
+        obs.reset()
+        rng = random.Random(seed)
+        stream = StreamTable(EXT_SCHEMA, name="e")
+        view = stream.view().group_by(["g"], EXT_AGGS).materialize("x")
+        reference = ExtremeReference()
+        state: Counter = Counter()
+        pad = 70 if bulk else 0          # past the 64-row bulk threshold
+        for _ in range(60):
+            inserts, deletes = self._targeted(rng, state)
+            inserts = inserts + [random_ext_row(rng, nan)
+                                 for _ in range(pad or rng.randint(0, 3))]
+            if inserts:
+                stream.insert_rows(inserts)
+                reference.push(inserts, 1)
+                state.update(inserts)
+                self._check(view, stream, reference, nan)
+            spare = self._live(state - Counter(deletes))
+            deletes = deletes + rng.sample(spare, k=min(pad, len(spare)))
+            if deletes:
+                stream.delete_rows(deletes)
+                reference.push(deletes, -1)
+                state.subtract(deletes)
+                state += Counter()  # drop zeros
+                self._check(view, stream, reference, nan)
+        rescans = obs.metrics.counter("ivm.group.extreme_rescans").value
+        assert rescans > 0, "no extreme was ever retracted"
+
+    def test_nan_order_and_signed_zero(self):
+        """The extremes follow ``max``/``min``'s insertion-order fold:
+        a leading NaN wins, and ``0.0``/``-0.0`` are one value whose first
+        spelling is the one reported."""
+        stream = StreamTable(EXT_SCHEMA, name="e")
+        view = stream.view().group_by(["g"], EXT_AGGS).materialize("x")
+
+        def f_lo_hi(group):
+            (row,) = [r for r in view.table().rows() if r[0] == group]
+            return row[1], row[2]
+
+        stream.insert_rows([("a", 1.0, 0)])
+        stream.insert_rows([("a", NAN, 0)])
+        stream.insert_rows([("a", 5.0, 0)])
+        assert f_lo_hi("a") == (1.0, 5.0)      # min/max([1.0, nan, 5.0])
+        stream.delete_rows([("a", 1.0, 0)])
+        lo, hi = f_lo_hi("a")                   # ([nan, 5.0]): NaN leads
+        assert lo != lo and hi != hi
+
+        stream.insert_rows([("b", -1.0, 0), ("b", 0.0, 0), ("b", -0.0, 0)])
+        assert canon(f_lo_hi("b")[1]) == canon(0.0)
+        stream.delete_rows([("b", -0.0, 0)])    # one copy of the tie
+        assert canon(f_lo_hi("b")[1]) == canon(0.0)
+        stream.delete_rows([("b", 0.0, 0)])     # last copy: rescan
+        assert f_lo_hi("b") == (-1.0, -1.0)
+        stream.insert_rows([("b", -0.0, 0)])
+        assert canon(f_lo_hi("b")[1]) == canon(-0.0)
+
+
+# -- join traces --------------------------------------------------------------
+
+
+class TestAppendOnlyTrace:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interleaved_pushes_across_compaction(self, seed):
+        """Both sides push in random order while the traces compact; the
+        view equals the batch join after every push."""
+        obs.reset()
+        rng = random.Random(seed)
+        facts = StreamTable(FACT_SCHEMA, name="facts")
+        dims = StreamTable(DIM_SCHEMA, name="dims")
+        view = facts.view().join(dims, on="k").materialize("j")
+        fstate: Counter = Counter()
+        dstate: Counter = Counter()
+        for _ in range(80):
+            if rng.random() < 0.6:
+                mutate(rng, facts, fstate, random_fact_row)
+            else:
+                mutate(rng, dims, dstate, random_dim_row)
+            batch = facts.snapshot().join(dims.snapshot(), on="k")
+            assert bag(view.table()) == bag(batch)
+        metrics = obs.metrics
+        assert metrics.counter("ivm.trace.compactions").value > 0
+        assert metrics.counter("ivm.trace.concats").value > 0

@@ -32,6 +32,20 @@ class TestConstruction:
         t = Table.from_rows([("1", "2.5")], schema=[("a", "int"), ("b", "float")])
         assert t.row(0) == (1, 2.5)
 
+    def test_from_rows_coerces_any_column_not_of_exact_type(self):
+        schema = [("i", "int"), ("f", "float"), ("s", "str"), ("b", "bool")]
+        exact = Table.from_rows([(1, 2.5, "x", True), (None,) * 4],
+                                schema=schema)
+        assert list(exact.rows()) == [(1, 2.5, "x", True), (None,) * 4]
+        mixed = Table.from_rows([(True, 3, "y", "yes"),
+                                 (2, None, "z", False)], schema=schema)
+        rows = list(mixed.rows())
+        assert rows == [(1, 3.0, "y", True), (2, None, "z", False)]
+        assert [type(v) for v in rows[0]] == [int, float, str, bool]
+        with pytest.raises(SchemaError):
+            Table.from_rows([(1, 2.5, "x", True), (3.5, 1.0, "y", False)],
+                            schema=schema)
+
     def test_ragged_columns_rejected(self):
         with pytest.raises(SchemaError):
             Table(Schema([("a", "int"), ("b", "int")]), [[1, 2], [1]])

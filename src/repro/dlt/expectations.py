@@ -14,15 +14,17 @@ Predicates are vectorized over column arrays — a predicate maps a
 :class:`~repro.table.Table` to one boolean numpy mask (``True`` = the row
 passes).  Three ways to build one:
 
-- the :func:`col` expression DSL::
+- the :func:`col` expression DSL, which builds :mod:`repro.sql`
+  expressions and evaluates them with the SQL engine's WHERE mask::
 
       expect_or_drop("positive_amount", col("amount") > 0)
       expect("known_status", col("status").is_in({"paid", "shipped"}))
       expect_or_fail("has_key", col("order_id").not_null())
 
-  Comparisons follow SQL's pessimistic null semantics: a null on either
-  side *violates* the expectation (only :meth:`ColumnExpr.is_null` passes
-  nulls), so contracts never silently wave unknown values through.
+  Predicates follow SQL's three-valued logic and pass only TRUE rows: a
+  comparison with a null is unknown and *violates* the expectation, and
+  so does its negation (only :meth:`ColumnExpr.is_null` passes nulls), so
+  contracts never silently wave unknown values through.
 
 - any ``table -> bool mask`` callable, via :meth:`Predicate.wrap`;
 
@@ -30,7 +32,10 @@ passes).  Three ways to build one:
   detection techniques become enforceable contracts: rows with any flagged
   cell violate, and each quarantined row carries the detector's reason.
 
-Predicates compose with ``&``, ``|`` and ``~``.
+Predicates compose with ``&``, ``|`` and ``~``; between two :func:`col`
+predicates these build SQL ``and`` / ``or`` / ``not``.  ``~`` over an
+opaque predicate (a callable, a detector, :meth:`ColumnExpr.matches`)
+complements its mask.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ import numpy as np
 
 from repro.cleaning.detection import Detector, Flag
 from repro.errors import DltError
+from repro.sql.ast import BinaryOp, ColumnRef, Expr, Literal, UnaryOp
+from repro.sql.expr import WhereMask, render_expr
 from repro.table import Table
 
 #: The three enforcement levels, in escalating order.
@@ -131,16 +138,43 @@ class _Negated(Predicate):
         return ~self._inner.mask(table)
 
 
-class _ColumnPredicate(Predicate):
-    """A vectorized column comparison with pessimistic null handling."""
+class _ExprPredicate(Predicate):
+    """A :mod:`repro.sql` expression as a row predicate: the mask is the
+    SQL WHERE mask (TRUE passes; FALSE and NULL violate), the description
+    the expression's SQL text."""
 
-    def __init__(self, description: str,
-                 fn: Callable[[Table], np.ndarray]):
-        self.description = description
-        self._fn = fn
+    def __init__(self, expr: Expr):
+        self.expr = expr
+        self.description = render_expr(expr)
+        self._where = WhereMask(expr)
 
     def mask(self, table: Table) -> np.ndarray:
-        return self._fn(table)
+        return self._where(table)
+
+    def _logic(self, op: str, other: Any) -> Predicate:
+        other = Predicate.wrap(other)
+        if isinstance(other, _ExprPredicate):
+            return _ExprPredicate(BinaryOp(op, self.expr, other.expr))
+        return _Combined(op, self, other)
+
+    def __and__(self, other: Any) -> Predicate:
+        return self._logic("and", other)
+
+    def __or__(self, other: Any) -> Predicate:
+        return self._logic("or", other)
+
+    def __invert__(self) -> Predicate:
+        return _ExprPredicate(UnaryOp("not", self.expr))
+
+
+def _balanced(op: str, terms: list[Expr]) -> Expr:
+    """``t0 op t1 op ...`` as a balanced tree, so evaluation recurses
+    log(len(terms)) deep however long an ``is_in`` list gets."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return BinaryOp(op, _balanced(op, terms[:mid]),
+                    _balanced(op, terms[mid:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,99 +187,64 @@ class ColumnExpr:
 
     name: str
 
-    def _arrays(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
-        return table.column_array(self.name), table.null_mask(self.name)
-
-    def _compare(self, op: str, other: Any,
-                 fn: Callable[[np.ndarray, Any], np.ndarray]) -> Predicate:
-        if isinstance(other, ColumnExpr):
-            text = f"{self.name} {op} {other.name}"
-
-            def mask(table: Table) -> np.ndarray:
-                left, left_null = self._arrays(table)
-                right, right_null = other._arrays(table)
-                valid = ~left_null & ~right_null
-                out = np.zeros(table.num_rows, dtype=bool)
-                out[valid] = fn(left[valid], right[valid])
-                return out
-        else:
-            text = f"{self.name} {op} {other!r}"
-
-            def mask(table: Table) -> np.ndarray:
-                values, null = self._arrays(table)
-                valid = ~null
-                out = np.zeros(table.num_rows, dtype=bool)
-                out[valid] = fn(values[valid], other)
-                return out
-        return _ColumnPredicate(text, mask)
+    def _compare(self, op: str, other: Any) -> Predicate:
+        right = (ColumnRef(other.name) if isinstance(other, ColumnExpr)
+                 else Literal(other))
+        return _ExprPredicate(BinaryOp(op, ColumnRef(self.name), right))
 
     def __gt__(self, other: Any) -> Predicate:
-        return self._compare(">", other, lambda a, b: a > b)
+        return self._compare(">", other)
 
     def __ge__(self, other: Any) -> Predicate:
-        return self._compare(">=", other, lambda a, b: a >= b)
+        return self._compare(">=", other)
 
     def __lt__(self, other: Any) -> Predicate:
-        return self._compare("<", other, lambda a, b: a < b)
+        return self._compare("<", other)
 
     def __le__(self, other: Any) -> Predicate:
-        return self._compare("<=", other, lambda a, b: a <= b)
+        return self._compare("<=", other)
 
     def __eq__(self, other: Any) -> Predicate:  # type: ignore[override]
-        return self._compare("==", other, lambda a, b: a == b)
+        return self._compare("=", other)
 
     def __ne__(self, other: Any) -> Predicate:  # type: ignore[override]
-        return self._compare("!=", other, lambda a, b: a != b)
+        return self._compare("<>", other)
 
     def not_null(self) -> Predicate:
-        name = self.name
-        return _ColumnPredicate(
-            f"{name} is not null",
-            lambda table: ~table.null_mask(name),
-        )
+        return ~self.is_null()
 
     def is_null(self) -> Predicate:
-        name = self.name
-        return _ColumnPredicate(
-            f"{name} is null",
-            lambda table: table.null_mask(name).copy(),
-        )
+        return _ExprPredicate(UnaryOp("isnull", ColumnRef(self.name)))
 
     def is_in(self, values: Iterable[Any]) -> Predicate:
-        allowed = list(values)
-
-        def mask(table: Table) -> np.ndarray:
-            arr, null = self._arrays(table)
-            out = np.zeros(len(arr), dtype=bool)
-            valid = ~null
-            out[valid] = np.isin(arr[valid], np.array(allowed, dtype=arr.dtype))
-            return out
-
-        return _ColumnPredicate(
-            f"{self.name} in {sorted(map(str, allowed))}", mask
-        )
+        """``name = v0 or name = v1 ...`` over the distinct values, ordered
+        by ``repr`` so the description (and fingerprint) never depends on
+        set order; an empty list passes no row."""
+        by_repr = {repr(v): v for v in values}
+        if not by_repr:
+            return _ExprPredicate(Literal(False))
+        ref = ColumnRef(self.name)
+        return _ExprPredicate(_balanced("or", [
+            BinaryOp("=", ref, Literal(by_repr[key]))
+            for key in sorted(by_repr)
+        ]))
 
     def between(self, lo: Any, hi: Any) -> Predicate:
-        def mask(table: Table) -> np.ndarray:
-            arr, null = self._arrays(table)
-            out = np.zeros(len(arr), dtype=bool)
-            valid = ~null
-            out[valid] = (arr[valid] >= lo) & (arr[valid] <= hi)
-            return out
-
-        return _ColumnPredicate(f"{self.name} between {lo!r} and {hi!r}", mask)
+        return (self >= lo) & (self <= hi)
 
     def matches(self, pattern: str) -> Predicate:
+        """Regex full match over non-null cells (an opaque predicate)."""
         compiled = re.compile(pattern)
+        name = self.name
 
         def mask(table: Table) -> np.ndarray:
-            arr, null = self._arrays(table)
-            out = np.zeros(len(arr), dtype=bool)
+            values, null = table.column_array(name), table.null_mask(name)
+            out = np.zeros(table.num_rows, dtype=bool)
             for i in np.flatnonzero(~null).tolist():
-                out[i] = compiled.fullmatch(str(arr[i])) is not None
+                out[i] = compiled.fullmatch(str(values[i])) is not None
             return out
 
-        return _ColumnPredicate(f"{self.name} matches {pattern!r}", mask)
+        return Predicate.wrap(mask, f"{name} matches {pattern!r}")
 
 
 def col(name: str) -> ColumnExpr:

@@ -219,8 +219,8 @@ class ScanNode(Node):
 
 
 class FilterNode(Node):
-    """Linear: ``filter(ΔI)``.  ``predicate`` is either a callable
-    ``Table -> bool mask`` or a dlt-style object with ``.mask(table)``."""
+    """Linear: ``filter(ΔI)``.  ``predicate`` is a vectorized callable
+    ``Table -> bool mask`` (SQL views pass :class:`repro.sql.expr.WhereMask`)."""
 
     def __init__(self, input_node: Node, predicate) -> None:
         self.input = input_node
@@ -229,9 +229,7 @@ class FilterNode(Node):
         self.streams = input_node.streams
 
     def _mask(self, table: Table) -> np.ndarray:
-        mask_fn = getattr(self.predicate, "mask", None)
-        raw = mask_fn(table) if callable(mask_fn) else self.predicate(table)
-        mask = np.asarray(raw, dtype=bool)
+        mask = np.asarray(self.predicate(table), dtype=bool)
         if mask.shape != (table.num_rows,):
             raise IvmError(
                 f"filter predicate returned shape {mask.shape} for "

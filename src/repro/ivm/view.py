@@ -244,7 +244,7 @@ class ViewBuilder:
 
     def filter(self, predicate) -> "ViewBuilder":
         """Keep rows where ``predicate`` holds — a vectorized callable
-        ``Table -> bool mask`` or a dlt-style predicate with ``.mask``."""
+        ``Table -> bool mask``."""
         return ViewBuilder(_Spec("filter", (predicate,), (self._spec,)))
 
     def project(self, names: Sequence[str],

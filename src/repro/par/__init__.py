@@ -13,9 +13,9 @@ One contract, two backends, both deterministic by construction:
   for GIL-bound python (pipeline evaluation, shard kernels), with
   worker-loss detection and cross-process span re-parenting;
 - :class:`WorkerPool` — the single sanctioned ``threading.Thread`` site
-  under ``src/repro`` (CI-enforced), shared with the serving runtime via
-  :mod:`repro.serving.pool`; :mod:`repro.par.procpool` is likewise the
-  single sanctioned ``multiprocessing`` site.
+  under ``src/repro`` (CI-enforced), shared with the serving runtime;
+  :mod:`repro.par.procpool` is likewise the single sanctioned
+  ``multiprocessing`` site.
 
 Quickstart::
 

@@ -6,7 +6,7 @@ Both consumers of parallelism in the library build on this one class, so
 thread lifecycles have a single owner:
 
 - :class:`repro.serving.Server` drains its micro-batch schedulers with a
-  pool (``repro.serving.pool`` re-exports :class:`WorkerPool` from here);
+  pool;
 - :class:`repro.par.ParallelMap` fans offline chunk work out over a
   short-lived pool per ``map()`` call.
 

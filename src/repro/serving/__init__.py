@@ -19,10 +19,12 @@ identical work, and answer repeats from a cache.  Five pieces, built on
 - **cache** — :class:`ResultCache` (sharded LRU + TTL, hit/miss/eviction
   metrics) and :class:`SingleFlight` (identical in-flight requests are
   computed once);
-- **server / pool / backends** — :class:`Server` ties it together over a
-  :class:`WorkerPool` (the only sanctioned ``threading.Thread`` site in the
-  library), with a :class:`~repro.resilience.CircuitBreaker` and a
-  degraded-tier fallback per registered :class:`Backend`.
+- **server / backends** — :class:`Server` ties it together over a
+  :class:`~repro.par.pool.WorkerPool` (the only sanctioned
+  ``threading.Thread`` site in the library), with a
+  :class:`~repro.resilience.CircuitBreaker` and a degraded-tier fallback
+  per registered :class:`Backend`; :class:`SqlBackend` serves SQL over a
+  :class:`~repro.sql.Database`.
 
 Quickstart::
 
@@ -40,6 +42,7 @@ Quickstart::
 tuning knobs and metric names.
 """
 
+from repro.par.pool import WorkerPool
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import ResultCache, SingleFlight, stable_key
 from repro.serving.envelope import (
@@ -53,7 +56,6 @@ from repro.serving.envelope import (
     Response,
     ResponseFuture,
 )
-from repro.serving.pool import WorkerPool
 from repro.serving.scheduler import MicroBatchScheduler
 from repro.serving.server import Backend, Server
 
@@ -76,19 +78,23 @@ __all__ = [
     "ResultCache",
     "Server",
     "SingleFlight",
+    "SqlBackend",
     "WorkerPool",
     "stable_key",
 ]
 
-#: The stock backends wrap the model stack (foundation, matching,
-#: pipelines, and through them nn / plm / networkx); they load on first
-#: use so processes that only serve SQL or shard queries never import it.
-_BACKENDS = ("FMBackend", "MatcherBackend", "PipelineBackend")
+#: Backends load on first use: the stock three wrap the model stack
+#: (foundation, matching, pipelines, and through them nn / plm /
+#: networkx), ``SqlBackend`` the SQL engine, and a process that serves
+#: only one of them imports neither of the others.
+_BACKENDS = {"FMBackend": "backends", "MatcherBackend": "backends",
+             "PipelineBackend": "backends", "SqlBackend": "sql"}
 
 
 def __getattr__(name: str):
     if name in _BACKENDS:
-        from repro.serving import backends
+        from importlib import import_module
 
-        return getattr(backends, name)
+        module = import_module(f"repro.serving.{_BACKENDS[name]}")
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

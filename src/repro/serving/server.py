@@ -6,7 +6,7 @@ A :class:`Server` ties the serving pieces together around each registered
 - ``submit()`` is the single front door: result-cache lookup → single-flight
   coalescing → admission control → the backend's
   :class:`~repro.serving.scheduler.MicroBatchScheduler`;
-- a shared :class:`~repro.serving.pool.WorkerPool` drains every scheduler
+- a shared :class:`~repro.par.pool.WorkerPool` drains every scheduler
   (round-robin), executing batches through the backend's
   :class:`~repro.resilience.CircuitBreaker`;
 - failures degrade: a batch that the breaker refuses or the backend crashes
@@ -33,6 +33,7 @@ from typing import Any
 from repro.errors import CircuitOpenError, ServerClosedError, ServingError
 from repro.obs import metrics, tracing
 from repro.obs.metrics import SIZE_BUCKETS
+from repro.par.pool import WorkerPool
 from repro.resilience import (
     CircuitBreaker,
     Clock,
@@ -51,7 +52,6 @@ from repro.serving.envelope import (
     Response,
     ResponseFuture,
 )
-from repro.serving.pool import WorkerPool
 from repro.serving.scheduler import MicroBatchScheduler
 
 #: How long an idle worker waits before re-checking schedulers, when no

@@ -6,10 +6,11 @@ hash- or range-partitioned shards (zero-copy, with per-shard key indexes
 amortized at partition time), the kernels in :mod:`repro.shard.kernels`
 run filter / join / group_by / distinct shard-at-a-time — serially or
 over :class:`~repro.par.ProcessMap` workers — with the single-table
-kernels kept as exactness oracles, :class:`ShardStore` spills partitions
-to content-addressed files so tables larger than memory stream one shard
-at a time, and :class:`ShardedTableBackend` serves declarative
-:class:`ShardQuery` payloads through the standard serving runtime.
+kernels kept as exactness oracles, and :class:`ShardStore` spills
+partitions to content-addressed files so tables larger than memory
+stream one shard at a time.  Queries reach the kernels through
+:mod:`repro.sql`, whose physical planner binds them for partitioned
+tables.
 
 Quickstart::
 
@@ -39,7 +40,6 @@ from repro.shard.partition import (
     hash_rows,
     partitioner_from_dict,
 )
-from repro.shard.serving import ShardedTableBackend, ShardQuery, where_mask
 from repro.shard.spill import ShardStore, SpilledShard
 from repro.shard.table import MemoryShard, PartitionedTable, ShardIndex
 
@@ -51,9 +51,7 @@ __all__ = [
     "Partitioner",
     "RangePartitioner",
     "ShardIndex",
-    "ShardQuery",
     "ShardStore",
-    "ShardedTableBackend",
     "SpilledShard",
     "choose_partitioner",
     "concat_tables",
@@ -61,5 +59,4 @@ __all__ = [
     "hash_rows",
     "kernels",
     "partitioner_from_dict",
-    "where_mask",
 ]

@@ -1,8 +1,8 @@
 """Execution of parsed SQL queries against :class:`~repro.table.Table`s.
 
-Semantics follow SQL where it matters for the library: three-valued NULL
-comparisons (any comparison with NULL is false), aggregates skip NULLs,
-COUNT(*) counts rows.
+Semantics follow SQL where it matters for the library: three-valued
+logic (a comparison with NULL is NULL, and WHERE keeps only TRUE rows),
+aggregates skip NULLs, COUNT(*) counts rows.
 
 Queries run through three layers: :func:`repro.sql.plan.compile_query`
 lowers the parsed AST to a logical plan, :func:`repro.sql.optimizer.optimize`
@@ -26,9 +26,7 @@ from repro.sql.ast import Query
 from repro.sql.expr import (
     aggregate_rows,
     default_name,
-    eval_aggregate,
     eval_row,
-    eval_vec,
     has_aggregate,
     project_items,
     where_mask,
@@ -56,6 +54,11 @@ class Database:
     ``query(sql, optimizer=...)`` overrides the default either way.
     ``pmap`` forwards a :class:`~repro.par.BaseMap` to the shard kernels
     when partitioned tables are queried.
+
+    ``version`` counts catalog changes: :meth:`register`,
+    :meth:`register_stream`, :meth:`create_view` and :meth:`drop_view`
+    each bump it, so a query over plain tables answers the same for as
+    long as the version holds (the serving result-cache key).
     """
 
     def __init__(self, tables: dict[str, Any] | None = None, *,
@@ -66,7 +69,8 @@ class Database:
         self._views: dict[str, Any] = {}
         self._view_keys: dict[str, str] = {}
         self._optimizer = optimizer
-        self._pmap = pmap
+        self.pmap = pmap
+        self.version = 0
         for name, table in (tables or {}).items():
             self.register(name, table)
 
@@ -75,6 +79,7 @@ class Database:
         self._check_free(name, allow="table")
         self._tables[name] = table
         self._materialized.pop(name, None)
+        self.version += 1
 
     def register_stream(self, name: str, source: Any):
         """Register a mutable stream table (see :mod:`repro.ivm`).
@@ -89,6 +94,7 @@ class Database:
         stream = (source if isinstance(source, StreamTable)
                   else StreamTable(source, name=name))
         self._streams[name] = stream
+        self.version += 1
         return stream
 
     def stream(self, name: str):
@@ -115,6 +121,7 @@ class Database:
         with tracing.span("sql.create_view", view=name, sql=sql.strip()):
             view = compile_view(name, query, self._streams)
         self._views[name] = view
+        self.version += 1
         try:
             node, _ = optimize(plan_ir.compile_query(query, self), self,
                                prune=False, reorder=False)
@@ -137,6 +144,7 @@ class Database:
         del self._views[name]
         self._view_keys = {key: view for key, view in self._view_keys.items()
                            if view != name}
+        self.version += 1
 
     def _check_free(self, name: str, allow: str | None = None) -> None:
         """Names are unique across tables, streams, and views — except
@@ -185,6 +193,11 @@ class Database:
     def stats_of(self, name: str) -> dict[str, dict[str, Any]]:
         """Per-column statistics (memoized on the table)."""
         return self.table(name).stats()
+
+    def is_static(self, name: str) -> bool:
+        """Whether ``name`` is a registered table (plain or partitioned),
+        which only :meth:`register` can change — unlike a stream or view."""
+        return name in self._tables
 
     def is_partitioned(self, name: str) -> bool:
         source = self._tables.get(name)
@@ -262,7 +275,7 @@ class Database:
             logical = plan_ir.compile_query(query, self)
             optimized, notes = optimize(logical, self,
                                         view_keys=self._view_keys or None)
-            physical = bind(optimized, self, self._pmap)
+            physical = bind(optimized, self, self.pmap)
             lines.append("logical plan:")
             lines += ["  " + row
                       for row in plan_ir.render_plan(logical).splitlines()]
@@ -349,7 +362,7 @@ def execute(query: Query, db: Database,
         return execute_naive(query, db, plan)
     node = plan_ir.compile_query(query, db)
     node, _notes = optimize(node, db, view_keys=db._view_keys or None)
-    return bind(node, db, db._pmap).execute(plan)
+    return bind(node, db, db.pmap).execute(plan)
 
 
 def execute_naive(query: Query, db: Database,
@@ -431,12 +444,3 @@ def execute_naive(query: Query, db: Database,
 
 def _has_aggregate(query: Query) -> bool:
     return has_aggregate(query.select)
-
-
-# Historic private names, re-exported for back-compat (the expression
-# machinery now lives in repro.sql.expr, shared by every executor).
-_default_name = default_name
-_eval = eval_row
-_eval_aggregate = eval_aggregate
-_eval_vec = eval_vec
-_where_mask = where_mask

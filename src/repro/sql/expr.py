@@ -1,8 +1,9 @@
 """Expression evaluation for the SQL engine — row-wise and vectorized.
 
-Semantics follow SQL where it matters for the library: three-valued NULL
-comparisons (any comparison with NULL is false), aggregates skip NULLs,
-COUNT(*) counts rows.
+Semantics follow SQL where it matters for the library: three-valued
+logic (a comparison or arithmetic with a NULL operand is NULL, ``NOT
+NULL`` is NULL, ``AND``/``OR`` are Kleene's), a WHERE clause keeps only
+TRUE rows, aggregates skip NULLs, COUNT(*) counts rows.
 
 :func:`eval_vec` mirrors :func:`eval_row` over whole columns: every
 parser-produced AST node evaluates against the table's numpy column
@@ -41,6 +42,7 @@ from repro.table import Column, Table
 from repro.table.schema import Schema, infer_dtype
 
 __all__ = [
+    "WhereMask",
     "aggregate_rows",
     "default_name",
     "eval_aggregate",
@@ -150,7 +152,8 @@ def eval_row(expr: Expr, row: dict[str, Any]) -> Any:
         return row[expr.name]
     if isinstance(expr, UnaryOp):
         if expr.op == "not":
-            return not bool(eval_row(expr.operand, row))
+            value = eval_row(expr.operand, row)
+            return None if value is None else not bool(value)
         if expr.op == "neg":
             value = eval_row(expr.operand, row)
             return -value if value is not None else None
@@ -158,28 +161,33 @@ def eval_row(expr: Expr, row: dict[str, Any]) -> Any:
             return eval_row(expr.operand, row) is None
         raise ParseError(f"unknown unary op {expr.op}")
     if isinstance(expr, BinaryOp):
-        if expr.op == "and":
-            return bool(eval_row(expr.left, row)) and bool(eval_row(expr.right, row))
-        if expr.op == "or":
-            return bool(eval_row(expr.left, row)) or bool(eval_row(expr.right, row))
+        if expr.op in ("and", "or"):
+            # Kleene logic: a decisive operand (false for AND, true for
+            # OR) settles the row; otherwise any NULL operand makes it NULL.
+            decisive = expr.op == "or"
+            left = eval_row(expr.left, row)
+            if left is not None and bool(left) == decisive:
+                return decisive
+            right = eval_row(expr.right, row)
+            if right is not None and bool(right) == decisive:
+                return decisive
+            return None if left is None or right is None else not decisive
         left = eval_row(expr.left, row)
         right = eval_row(expr.right, row)
-        if expr.op in ("=", "<>", "<", "<=", ">", ">="):
-            if left is None or right is None:
-                return False
-            if expr.op == "=":
-                return left == right
-            if expr.op == "<>":
-                return left != right
-            if expr.op == "<":
-                return left < right
-            if expr.op == "<=":
-                return left <= right
-            if expr.op == ">":
-                return left > right
-            return left >= right
         if left is None or right is None:
             return None
+        if expr.op == "=":
+            return left == right
+        if expr.op == "<>":
+            return left != right
+        if expr.op == "<":
+            return left < right
+        if expr.op == "<=":
+            return left <= right
+        if expr.op == ">":
+            return left > right
+        if expr.op == ">=":
+            return left >= right
         if expr.op == "+":
             return left + right
         if expr.op == "-":
@@ -338,25 +346,56 @@ def _project_rows(items: list[SelectItem], names: list[str],
 
 
 def where_mask(expr: Expr, table: Table) -> np.ndarray | None:
-    """WHERE clause as a boolean keep-mask, or None for opaque expressions."""
+    """WHERE clause as a boolean keep-mask (TRUE rows only; FALSE and NULL
+    drop), or None for opaque expressions."""
     out = eval_vec(expr, table)
     if out is None:
         return None
-    values, mask = out
-    return _truthy(values, mask, table.num_rows)
+    return _logic(*out, table.num_rows)[0]
 
 
-def _truthy(values: Any, mask: np.ndarray | None, n: int) -> np.ndarray:
-    """SQL condition truthiness: NULL is false, everything else is bool()."""
+class WhereMask:
+    """:func:`where_mask` bound to one expression: the ``Table -> keep
+    mask`` callable that shard filters, IVM filter nodes and dlt
+    expectations run.  Picklable (the AST is frozen dataclasses all the
+    way down), so it rides into forked shard workers.  Callers decide
+    vectorizability once, up front; a table that makes the expression
+    opaque afterwards raises."""
+
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
+
+    def __call__(self, table: Table) -> np.ndarray:
+        mask = where_mask(self.expr, table)
+        if mask is None:
+            raise SchemaError(
+                f"predicate {render_expr(self.expr)} stopped being "
+                f"vectorizable"
+            )
+        return mask
+
+
+def _bools(values: Any, n: int) -> np.ndarray:
+    """``bool()`` of every value as a fresh array (NULL slots are the
+    caller's to mask)."""
     if not isinstance(values, np.ndarray):
-        arr = np.full(n, bool(values))
-    elif values.dtype == object:
-        arr = np.frompyfunc(bool, 1, 1)(values).astype(bool)
-    else:
-        arr = values.astype(bool)
+        return np.full(n, bool(values))
+    if values.dtype == object:
+        return np.frompyfunc(bool, 1, 1)(values).astype(bool)
+    return values.astype(bool)
+
+
+def _logic(values: Any, mask: np.ndarray | None, n: int):
+    """A condition operand as ``(true, null)``: the rows where it is TRUE,
+    and its NULL mask (a NULL literal is NULL everywhere)."""
+    if values is None:
+        return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    true = _bools(values, n)
     if mask is not None:
-        arr = arr & ~mask
-    return arr
+        true &= ~mask
+    return true, mask
 
 
 def _filled(values: Any, mask: np.ndarray | None) -> Any:
@@ -377,6 +416,8 @@ def _combine_masks(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | N
 
 
 def eval_vec(expr: Expr, table: Table):
+    """Boolean results keep False in their NULL slots (the bool column
+    sentinel), so a keep-mask is ``values & ~mask`` at any depth."""
     n = table.num_rows
     if isinstance(expr, Literal):
         return expr.value, None
@@ -391,7 +432,8 @@ def eval_vec(expr: Expr, table: Table):
             return None
         values, mask = operand
         if expr.op == "not":
-            return ~_truthy(values, mask, n), None
+            true, null = _logic(values, mask, n)
+            return (~true if null is None else ~(true | null)), null
         if expr.op == "neg":
             if values is None:
                 return None, np.ones(n, dtype=bool)
@@ -405,24 +447,35 @@ def eval_vec(expr: Expr, table: Table):
                     else np.zeros(n, dtype=bool)), None
         raise ParseError(f"unknown unary op {expr.op}")
     if isinstance(expr, BinaryOp):
-        if expr.op in ("and", "or"):
-            left = eval_vec(expr.left, table)
-            right = eval_vec(expr.right, table)
-            if left is None or right is None:
-                return None
-            lb = _truthy(left[0], left[1], n)
-            rb = _truthy(right[0], right[1], n)
-            return (lb & rb) if expr.op == "and" else (lb | rb), None
         left = eval_vec(expr.left, table)
         right = eval_vec(expr.right, table)
         if left is None or right is None:
             return None
+        if expr.op in ("and", "or"):
+            # Kleene logic: TRUE where both (AND) / either (OR) operand is
+            # TRUE; NULL where no operand is decisive and one is NULL.
+            lt, ln = _logic(*left, n)
+            rt, rn = _logic(*right, n)
+            null = _combine_masks(ln, rn)
+            if expr.op == "and":
+                true = lt & rt
+                if null is not None:
+                    null = (null & (lt if ln is None else lt | ln)
+                            & (rt if rn is None else rt | rn))
+            else:
+                true = lt | rt
+                if null is not None:
+                    null = null & ~true
+            return true, null
         lv, lm = left
         rv, rm = right
-        if expr.op in ("=", "<>", "<", "<=", ">", ">="):
-            if lv is None or rv is None:   # NULL literal: comparison is false
-                return np.zeros(n, dtype=bool), None
-            a, b = _filled(lv, lm), _filled(rv, rm)
+        compare = expr.op in ("=", "<>", "<", "<=", ">", ">=")
+        if lv is None or rv is None:       # NULL literal operand: NULL
+            return (np.zeros(n, dtype=bool if compare else float),
+                    np.ones(n, dtype=bool))
+        a, b = _filled(lv, lm), _filled(rv, rm)
+        mask = _combine_masks(lm, rm)
+        if compare:
             if expr.op == "=":
                 res = a == b
             elif expr.op == "<>":
@@ -436,15 +489,9 @@ def eval_vec(expr: Expr, table: Table):
             else:
                 res = a >= b
             res = np.broadcast_to(np.asarray(res, dtype=bool), (n,)).copy()
-            null = _combine_masks(lm, rm)
-            if null is not None:
-                res &= ~null
-            return res, None
-        # arithmetic: NULL operands propagate
-        if lv is None or rv is None:
-            return np.zeros(n), np.ones(n, dtype=bool)
-        a, b = _filled(lv, lm), _filled(rv, rm)
-        mask = _combine_masks(lm, rm)
+            if mask is not None:
+                res &= ~mask
+            return res, mask
         if expr.op == "+":
             return a + b, mask
         if expr.op == "-":

@@ -92,7 +92,7 @@ def _is_literal(expr: Any) -> bool:
 
 def fold_expr(expr: Expr) -> Expr:
     """Collapse literal-only subtrees using the row evaluator, so folded
-    semantics (NULL comparisons false, division by zero -> NULL) are the
+    semantics (NULL comparisons NULL, division by zero -> NULL) are the
     naive executor's by construction."""
     if isinstance(expr, (Literal, ColumnRef)):
         return expr

@@ -244,10 +244,10 @@ class _Parser:
     def _in_list(self, left, negated: bool):
         """Desugar ``x [NOT] IN (a, b, ...)`` to comparison chains.
 
-        ``IN`` becomes ``x = a OR x = b``; ``NOT IN`` becomes
-        ``x <> a AND x <> b`` — *not* ``NOT (x = a OR ...)``, because a
-        NULL ``x`` must drop the row (each ``<>`` is false), whereas the
-        engine's NOT over the false comparison would wrongly keep it.
+        ``IN`` becomes ``x = a OR x = b``; ``NOT IN`` becomes its De
+        Morgan form ``x <> a AND x <> b``, which under three-valued logic
+        equals ``NOT (x = a OR ...)``: a NULL ``x`` (or a NULL in the
+        list) makes the test NULL, and the row drops.
         """
         if not self.accept_op("("):
             raise ParseError("IN expects a parenthesized literal list")
@@ -276,8 +276,8 @@ class _Parser:
         """Desugar ``x [NOT] BETWEEN low AND high``.
 
         ``BETWEEN`` becomes ``x >= low AND x <= high``; the negation
-        becomes ``x < low OR x > high`` so a NULL ``x`` yields false on
-        both sides and the row drops, matching SQL's UNKNOWN.  Bounds
+        becomes ``x < low OR x > high`` (its De Morgan form), so a NULL
+        ``x`` is NULL on both sides and the row drops.  Bounds
         parse at additive precedence so the separating AND stays ours.
         """
         low = self.additive()

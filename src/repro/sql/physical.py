@@ -32,10 +32,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import SchemaError
 from repro.obs import tracing
 from repro.sql.ast import BinaryOp, ColumnRef, Expr, FuncCall, Literal
 from repro.sql.expr import (
+    WhereMask,
     aggregate_rows,
     default_name,
     eval_row,
@@ -61,24 +61,6 @@ from repro.table import Column, Table
 from repro.table.schema import Schema
 
 __all__ = ["PhysicalNode", "PhysicalPlan", "bind"]
-
-
-class _MaskPredicate:
-    """A WHERE clause as a per-shard mask predicate (picklable: the AST is
-    frozen dataclasses all the way down)."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: Expr):
-        self.expr = expr
-
-    def __call__(self, table: Table) -> np.ndarray:
-        mask = where_mask(self.expr, table)
-        if mask is None:                 # guarded at bind time
-            raise SchemaError(
-                f"predicate {self.expr!r} stopped being vectorizable"
-            )
-        return mask
 
 
 class PhysicalNode:
@@ -232,7 +214,7 @@ def _bind_filter(node: Filter, db, pmap) -> PhysicalNode:
                 from repro.shard import kernels as shard_kernels
 
                 out: Any = shard_kernels.filter(
-                    source, _MaskPredicate(node.predicate), pmap)
+                    source, WhereMask(node.predicate), pmap)
             else:
                 table = _materialize(source)
                 if vectorized:

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from repro.errors import IvmError, ParseError
 from repro.ivm import MaterializedView, StreamTable, ViewBuilder
-from repro.sql.ast import ColumnRef, Expr, FuncCall, Query
-from repro.sql.expr import default_name, where_mask
+from repro.sql.ast import ColumnRef, FuncCall, Query
+from repro.sql.expr import WhereMask, default_name, where_mask
 from repro.sql.plan import (
     Aggregate,
     Filter,
@@ -72,23 +72,6 @@ class _StreamCatalog:
                 f"{sorted(self.streams)}"
             )
         return self.streams[table_name].schema
-
-
-class _WherePredicate:
-    """A WHERE clause as an ivm filter predicate (vectorized mask)."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: Expr):
-        self.expr = expr
-
-    def mask(self, table: Table):
-        mask = where_mask(self.expr, table)
-        if mask is None:                     # guarded at compile time
-            raise IvmError(
-                f"WHERE clause {self.expr!r} stopped being vectorizable"
-            )
-        return mask
 
 
 def compile_view(name: str, query: Query,
@@ -151,7 +134,7 @@ def _compile_node(name: str, node: Node, streams: dict[str, StreamTable],
                 f"view {name!r}: WHERE clause is not vectorizable; "
                 f"materialized views require vectorized predicates"
             )
-        return builder.filter(_WherePredicate(node.predicate))
+        return builder.filter(WhereMask(node.predicate))
     if isinstance(node, Aggregate):
         builder = _compile_node(name, node.child, streams, catalog)
         return _compile_grouped(name, node, builder)

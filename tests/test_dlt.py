@@ -90,8 +90,52 @@ class TestPredicates:
         combined = ((dlt.col("qty") > 0) & dlt.col("region").not_null())
         assert combined.mask(t).tolist() == [
             True, False, False, False, True, False]
+        # Three-valued NOT: the null qty (row 3) is unknown and still
+        # violates, as in SQL.
         negated = (~(dlt.col("qty") > 0)).mask(t)
-        assert negated.tolist() == [False, True, False, True, False, True]
+        assert negated.tolist() == [False, True, False, False, False, True]
+
+    @pytest.mark.parametrize("build, sql", [
+        (lambda: ~(dlt.col("qty") > 0), "not (qty > 0)"),
+        (lambda: ~((dlt.col("qty") > 0) | (dlt.col("price") < 3)),
+         "not (qty > 0 or price < 3)"),
+        (lambda: ~((dlt.col("qty") > 0) & dlt.col("region").not_null()),
+         "not (qty > 0 and region is not null)"),
+        (lambda: ~dlt.col("qty").between(0, 3), "not (qty between 0 and 3)"),
+        (lambda: ~dlt.col("region").is_in(["eu", "apac"]),
+         "not (region in ('eu', 'apac'))"),
+        (lambda: dlt.col("qty") >= dlt.col("price"), "qty >= price"),
+        (lambda: dlt.col("region") != "eu", "region <> 'eu'"),
+    ])
+    def test_predicates_match_sqlite(self, build, sql):
+        # Predicates are SQL WHERE clauses: TRUE passes, FALSE and NULL
+        # violate, exactly the rows stdlib sqlite3 keeps.
+        import sqlite3
+
+        t = orders_table()
+        conn = sqlite3.connect(":memory:")
+        conn.execute("create table t (order_id integer, qty integer, "
+                     "price real, region text)")
+        conn.executemany("insert into t values (?, ?, ?, ?)", t.rows())
+        kept = {r for (r,) in conn.execute(
+            f"select order_id from t where {sql}")}
+        mask = build().mask(t)
+        assert {int(i) for i in t.column_array("order_id")[mask]} == kept
+
+    def test_descriptions_are_sql_text(self):
+        t = orders_table()
+        assert (dlt.col("qty") > 0).description == "(qty > 0)"
+        listed = dlt.col("region").is_in(["us", "eu", "us"])
+        assert listed.description == "((region = 'eu') or (region = 'us'))"
+        assert dlt.col("region").is_in({"eu", "us"}).description == \
+            listed.description
+        assert dlt.col("region").is_in([]).mask(t).tolist() == [False] * 6
+        many = dlt.col("order_id").is_in(range(5000))
+        assert many.mask(t).all()
+        # An opaque operand keeps mask-level composition.
+        mixed = (dlt.col("qty") > 0) & dlt.col("region").matches("eu")
+        assert mixed.mask(t).tolist() == [
+            True, False, False, False, False, False]
 
     def test_callable_predicate_wrap_validates_shape(self):
         t = orders_table()

@@ -210,6 +210,7 @@ class TestWorkerPool:
             WorkerPool("t", 0, lambda: None)
 
     def test_serving_reexport_is_same_class(self):
-        from repro.serving.pool import WorkerPool as ServingWorkerPool
+        import repro.par.pool
+        import repro.serving
 
-        assert ServingWorkerPool is WorkerPool
+        assert repro.serving.WorkerPool is repro.par.pool.WorkerPool

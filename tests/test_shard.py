@@ -1,6 +1,6 @@
 """repro.shard units: content hashing, partitioners, PartitionedTable
 construction (null masks and dtypes preserved exactly), ShardIndex,
-spill round-trips, and the shard-aware serving backend."""
+spill round-trips, and SQL served over a partitioned table."""
 
 from __future__ import annotations
 
@@ -10,24 +10,23 @@ import pytest
 from repro import obs, resilience
 from repro.errors import SchemaError, ShardError
 from repro.par import ParallelMap
+from repro.serving import SqlBackend
 from repro.shard import (
     HashPartitioner,
     MemoryShard,
     PartitionedTable,
     RangePartitioner,
     ShardIndex,
-    ShardQuery,
     ShardStore,
-    ShardedTableBackend,
     choose_partitioner,
     hash_column,
     hash_rows,
     kernels,
     partitioner_from_dict,
-    where_mask,
 )
 from repro.shard.partition import NULL_HASH
 from repro.shard.spill import SpilledShard
+from repro.sql import Database
 from repro.table import Column, Table, row_codes
 from repro.table.storage import TABLE_SUFFIX, content_hash
 
@@ -384,73 +383,76 @@ class _BoomMap(ParallelMap):
 
 
 class TestServing:
+    """:class:`~repro.serving.SqlBackend` over a database with the
+    partitioned ``orders`` registered, checked against single-table
+    oracles."""
+
     @pytest.fixture
     def backend(self, orders):
         pt = PartitionedTable.partition(
             orders, HashPartitioner(("customer",), 4))
-        return ShardedTableBackend(pt), orders
-
-    def test_where_mask_semantics(self, orders):
-        mask = where_mask(orders, [("amount", ">", 50.0),
-                                   ("customer", "notnull", None)])
-        expected = ((orders.column_array("amount") > 50.0)
-                    & ~orders.null_mask("amount")
-                    & ~orders.null_mask("customer"))
-        assert np.array_equal(mask, expected)
-        nulls = where_mask(orders, [("customer", "isnull", None)])
-        assert np.array_equal(nulls, orders.null_mask("customer"))
-        with pytest.raises(ShardError):
-            where_mask(orders, [("amount", "~=", 1)])
+        return SqlBackend(Database({"orders": pt})), orders
 
     def test_count_and_filter_match_oracle(self, backend):
         be, orders = backend
-        query = ShardQuery(op="count", where=(("amount", ">", 50.0),))
-        (count,) = be.run_batch([query])
+        (count,) = be.run_batch(
+            ["select count(*) as n from orders where amount > 50.0"])
         keep = ((orders.column_array("amount") > 50.0)
                 & ~orders.null_mask("amount"))
-        assert count == int(keep.sum())
-        (rows,) = be.run_batch([ShardQuery(op="filter",
-                                           where=(("amount", ">", 50.0),))])
+        assert list(count.rows()) == [(int(keep.sum()),)]
+        (rows,) = be.run_batch(["select * from orders where amount > 50.0"])
         assert_same_rows(rows, orders.filter(keep))
 
     def test_group_by_and_distinct_match_oracle(self, backend):
         be, orders = backend
-        (grouped,) = be.run_batch([ShardQuery(
-            op="group_by", keys=("customer",),
-            aggregates=(("sum", "amount", "total"),
-                        ("count", "amount", "n")))])
+        grouped, uniq = be.run_batch([
+            "select customer, sum(amount) as total, count(amount) as n "
+            "from orders group by customer",
+            "select customer, region from orders group by customer, region",
+        ])
         oracle = orders.group_by(["customer"],
                                  [("sum", "amount", "total"),
                                   ("count", "amount", "n")])
         assert_same_rows(grouped, oracle)
-        (uniq,) = be.run_batch([ShardQuery(op="distinct",
-                                           keys=())])
-        assert_same_rows(uniq, orders.distinct())
+        assert_same_rows(uniq, orders.project(["customer", "region"])
+                         .distinct())
 
     def test_cache_key_tracks_query_content(self, backend):
-        be, _ = backend
-        q1 = ShardQuery(op="count", where=(("region", "==", 1),))
-        q2 = ShardQuery(op="count", where=(("region", "==", 2),))
-        assert be.cache_key(q1) == be.cache_key(
-            ShardQuery(op="count", where=(("region", "==", 1),)))
-        assert be.cache_key(q1) != be.cache_key(q2)
+        be, orders = backend
+        q1 = "select count(*) from orders where region = 1"
+        key = be.cache_key(q1)
+        assert key is not None
+        assert be.cache_key("SELECT count(*)\n FROM orders "
+                            "WHERE region = 1") == key
+        assert be.cache_key(
+            "select count(*) from orders where region = 2") != key
+        be.db.register("other", orders)
+        assert be.cache_key(q1) != key
 
-    def test_unknown_op_rejected(self, backend):
-        be, _ = backend
-        with pytest.raises(ShardError):
-            be.run_batch([ShardQuery(op="teleport")])
+    def test_stream_and_view_reads_are_uncached(self, backend):
+        be, orders = backend
+        be.db.register_stream("live", orders)
+        be.db.create_view("by_region", "select region, count(*) as n "
+                          "from live group by region")
+        assert be.cache_key("select * from live") is None
+        assert be.cache_key("select * from by_region") is None
+        assert be.cache_key("select * from orders join live "
+                            "on customer = customer") is None
+        assert be.cache_key("select * from orders") is not None
 
     def test_fallback_degrades_to_serial(self, orders):
         pt = PartitionedTable.partition(
             orders, HashPartitioner(("customer",), 4))
-        be = ShardedTableBackend(pt, pmap=_BoomMap(workers=2))
-        query = ShardQuery(op="count", where=(("region", ">=", 0),))
-        with pytest.raises(RuntimeError):
+        be = SqlBackend(Database({"orders": pt}, pmap=_BoomMap(workers=2)))
+        query = "select count(*) as n from orders where region >= 0"
+        with pytest.raises(RuntimeError, match="pool exploded"):
             be.run_batch([query])
         expected = int((~orders.null_mask("region")).sum())
-        assert be.fallback(query, RuntimeError("boom")) == expected
+        assert list(be.fallback(query, RuntimeError("boom")).rows()) == [
+            (expected,)]
 
     def test_fallback_without_pool_reraises(self, backend):
         be, _ = backend
         with pytest.raises(RuntimeError):
-            be.fallback(ShardQuery(op="count"), RuntimeError("original"))
+            be.fallback("select count(*) from orders",
+                        RuntimeError("original"))

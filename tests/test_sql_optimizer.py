@@ -10,6 +10,7 @@ to change how the answer is computed, never the answer.
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.sql import Database, compile_query, optimize, parse_sql, plan_key
@@ -395,9 +396,12 @@ def _random_predicate(rng: random.Random, columns: list[str]) -> str:
         return "amount is not null" if rng.random() < 0.5 else \
             "status is null"
 
-    parts = [atom() for _ in range(rng.randrange(1, 4))]
+    def maybe_not(text: str) -> str:
+        return f"not ({text})" if rng.random() < 0.2 else text
+
+    parts = [maybe_not(atom()) for _ in range(rng.randrange(1, 4))]
     joiner = " and " if rng.random() < 0.7 else " or "
-    return joiner.join(parts)
+    return maybe_not(joiner.join(parts))
 
 
 def _random_query(rng: random.Random) -> str:
@@ -505,8 +509,7 @@ def _sqlite_db(tables: dict):
 class TestIndexProbeOracle:
     """``col = literal`` filters bound to the ``columnar[index]`` backend,
     checked three ways: optimizer on (the probe), optimizer off (the
-    full-scan naive executor) and stdlib ``sqlite3`` as bags.  No drawn
-    predicate puts NOT over a nullable column (ROADMAP item 5)."""
+    full-scan naive executor) and stdlib ``sqlite3`` as bags."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_probe_matches_scan_and_sqlite(self, seed):
@@ -569,3 +572,124 @@ class TestIndexProbeOracle:
         db = make_db()
         assert "[columnar[index]]" not in db.explain(sql)
         assert_equivalent(db, sql)
+
+
+# -- three-valued logic against an independent oracle --------------------------
+
+
+def _sqlite_select(conn, columns: list[str], joins: list[str], where: str):
+    """Run our dialect's ``select columns from orders [joins] where`` in
+    sqlite, qualifying the ambiguous ``cust``."""
+    theirs = ["orders"]
+    for join in joins:
+        theirs.append(
+            "join customers on orders.cust = customers.cust"
+            if join.startswith("join customers")
+            else "join products on orders.prod = products.p_id")
+    qualified = [f"orders.{c}" if c == "cust" else c for c in columns]
+    return conn.execute(
+        f"select {', '.join(qualified)} from {' '.join(theirs)} "
+        f"where {where.replace('cust', 'orders.cust')}").fetchall()
+
+
+_NOT_PREDICATES = [
+    "not (amount > 0)",
+    "not (amount > 5)",
+    "not (amount > 5 and status = 'gold')",
+    "not (amount > 5 or status = 'gold')",
+    "not (amount > 5) or status is null",
+    "not (status in ('gold', 'new'))",
+    "status not in ('gold', 'new')",
+    "not (amount between 2 and 6)",
+    "not (not (amount > 5))",
+    "not (amount is null)",
+    "not (amount + 1 > 6)",
+    "not (cust = null)",
+]
+
+
+class TestThreeValuedLogic:
+    """NOT / AND / OR over NULL: naive SQL, optimized SQL and
+    SQL-compiled incremental views agree with stdlib ``sqlite3``."""
+
+    @pytest.mark.parametrize("where", _NOT_PREDICATES)
+    def test_where_matches_sqlite(self, where):
+        tables = {"orders": make_db().table("orders")}
+        db = Database(tables)
+        sql = f"select o_id, amount, status from orders where {where}"
+        lite = _sqlite_db(tables).execute(sql).fetchall()
+        for optimizer in (True, False):
+            got = db.query(sql, optimizer=optimizer)
+            assert Counter(rows_of(got)) == Counter(lite), (sql, optimizer)
+
+    def test_projected_logic_is_null_like_sqlite(self):
+        tables = {"orders": make_db().table("orders")}
+        items = ("o_id, amount > 5 as gt, not (amount > 5) as ngt, "
+                 "amount > 5 and status = 'gold' as a, "
+                 "amount > 5 or status = 'gold' as o, "
+                 "null and false as nf, null or true as nt, not null as nn")
+        sql = f"select {items} from orders"
+        lite = _sqlite_db(tables).execute(sql).fetchall()
+        db = Database(tables)
+        for optimizer in (True, False):
+            assert rows_of(db.query(sql, optimizer=optimizer)) == lite
+
+    def test_row_and_vector_evaluators_agree(self):
+        from repro.sql.expr import eval_row, eval_vec
+
+        table = make_db().table("orders")
+        for where in _NOT_PREDICATES + ["null and amount > 5",
+                                        "amount > 5 or null"]:
+            expr = parse_sql(f"select o_id from orders where {where}").where
+            values, mask = eval_vec(expr, table)
+            values = np.broadcast_to(values, (table.num_rows,))
+            mask = (np.zeros(table.num_rows, dtype=bool) if mask is None
+                    else mask)
+            vector = [None if null else bool(value)
+                      for value, null in zip(values.tolist(), mask.tolist())]
+            rows = [eval_row(expr, row) for row in table.row_dicts()]
+            assert vector == rows, where
+
+    @pytest.mark.parametrize("where", _NOT_PREDICATES[:5])
+    def test_incremental_view_matches_sqlite(self, where):
+        orders = make_db().table("orders")
+        db = Database()
+        live = db.register_stream("orders", orders)
+        sql = f"select o_id, amount, status from orders where {where}"
+        view = db.create_view("v", sql)
+        live.insert_rows([(100, 1, 10, None, "gold"),
+                          (101, 2, 11, 9.5, None),
+                          (102, None, 12, 0.5, "vip")])
+        live.delete_rows([tuple(r) for r in list(orders.rows())[:3]])
+        lite = _sqlite_db({"orders": live.snapshot()}).execute(
+            sql).fetchall()
+        assert Counter(rows_of(view.table())) == Counter(lite), sql
+        assert Counter(rows_of(db.query("select * from v"))) == Counter(lite)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_negated_predicates_match_sqlite(self, seed):
+        rng = random.Random(7000 + seed)
+        tables = _random_tables(rng, 40 + rng.randrange(60))
+        db = Database(tables)
+        conn = _sqlite_db(tables)
+        checked = 0
+        while checked < 20:
+            columns = ["o_id", "cust", "amount", "status"]
+            joins = []
+            if rng.random() < 0.5:
+                joins.append("join customers on cust = cust")
+                columns.append("country")
+            if rng.random() < 0.3:
+                joins.append("join products on prod = p_id")
+                columns.append("category")
+            where = _random_predicate(rng, columns)
+            if "not" not in where:
+                continue
+            checked += 1
+            sql = (f"select {', '.join(columns)} from orders "
+                   f"{' '.join(joins)} where {where}")
+            optimized = db.query(sql)
+            assert rows_of(optimized) == rows_of(
+                db.query(sql, optimizer=False)), sql
+            lite = _sqlite_select(conn, columns, joins, where)
+            assert Counter(rows_of(optimized)) == Counter(lite), sql

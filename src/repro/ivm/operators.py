@@ -10,12 +10,12 @@ the DBSP construction (SNIPPETS.md Snippet 3):
   ``Δ(A ⋈ B) = ΔA ⋈ B_old + A_new ⋈ ΔB``, so each side keeps a
   :class:`Trace` — its accumulated input, indexed by join key — and a
   delta probes the *other* side's trace instead of replaying history.
-  Group-by folds each delta row into running per-group aggregate state
-  (count/sum accumulators, net value multiplicities plus a cached extreme
-  for min/max) and emits retraction/assertion pairs against its last
-  output — O(delta); only a min/max whose extreme was retracted rescans
-  its group's values.  Distinct tracks net multiplicities and emits only
-  presence flips.
+  Group-by folds each delta row into the running per-group fold states
+  of :mod:`repro.table.aggregate` (count/sum accumulators, net value
+  multiplicities plus a cached extreme for min/max) and emits
+  retraction/assertion pairs against its last output — O(delta); only a
+  min/max whose extreme was retracted rescans its group's values.
+  Distinct tracks net multiplicities and emits only presence flips.
 
 The batch kernels on :class:`~repro.table.Table` are the semantics —
 ``incremental(deltas) == batch(final_state)`` is property-tested for every
@@ -26,21 +26,19 @@ only on dyadic-grid data (docs/ivm.md).
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import IvmError
+from repro.errors import IvmError, SchemaError
 from repro.obs import metrics
-from repro.table import Field, Schema, Table
+from repro.table import Schema, Table
+from repro.table.aggregate import AGGREGATES, exact_sums, lookup, output_fields
 from repro.ivm.zset import ZSet
 
-#: Aggregate functions the incremental group-by supports.  The first five
-#: mirror ``Table.group_by``; ``count_star`` counts net row multiplicity
-#: (SQL ``COUNT(*)``), which the batch kernel expresses as ``count`` over a
-#: non-null column.
-GROUP_AGGREGATES = ("count", "sum", "min", "max", "avg", "count_star")
+#: Aggregate functions the incremental group-by supports: all of the
+#: aggregate algebra's (:mod:`repro.table.aggregate`).
+GROUP_AGGREGATES = tuple(AGGREGATES)
 
 #: A trace is compacted (consolidated + re-indexed) when its physical
 #: entry count exceeds twice the entry count after the last compaction —
@@ -49,9 +47,8 @@ GROUP_AGGREGATES = ("count", "sum", "min", "max", "avg", "count_star")
 _COMPACT_GROWTH = 2
 _COMPACT_FLOOR = 64
 
-#: Delta size at which the group-by fold switches from row-at-a-time to
-#: the vectorized bucket path (numpy per-group count/sum, one python merge
-#: step per touched group instead of per row).
+#: Delta size from which the group-by resolves rows to groups through
+#: numpy row codes instead of a python dict.
 _BULK_FOLD_MIN = 64
 
 
@@ -401,150 +398,50 @@ class JoinNode(Node):
         return ZSet(payload, lz.weights * rz.weights)
 
 
-class _Extreme:
-    """One group's min/max state: the net multiplicity of each distinct
-    value, plus the cached result of ``max(net)`` (``min`` in
-    :class:`_Min`).
-
-    ``max`` is a left fold over the dict's insertion order: keep the
-    running value, replace it when ``v > running``.  A value new to the
-    map is appended at the end of that order, so adding it is one fold
-    step on the cache.  A changed multiplicity moves no key.  Removing a
-    key changes the result only when it *was* the result (distinct keys
-    never compare equal, and ``0.0``/``-0.0`` share a key); that marks the
-    cache stale and the next :meth:`value` rescans.  A NaN, which compares
-    false both ways, breaks that argument, so while the map may hold a
-    value not equal to itself every read rescans.  :meth:`value` therefore
-    always equals ``max(net)`` exactly — including which of ``0.0`` and
-    ``-0.0`` it returns and every NaN order effect.
-    """
-
-    __slots__ = ("net", "best", "stale", "nan")
-
-    pick = staticmethod(max)
-    beats = staticmethod(operator.gt)
-
-    def __init__(self) -> None:
-        self.net: dict[Any, int] = {}
-        self.best: Any = None
-        self.stale = False
-        self.nan = False
-
-    def fold(self, v: Any, w: int) -> None:
-        """Add ``w`` copies (negative: retractions) of non-null ``v``."""
-        net = self.net
-        old = net.get(v, 0)
-        new = old + w
-        if new:
-            net[v] = new
-            if not (old or self.stale) and (
-                    self.best is None or self.beats(v, self.best)):
-                self.best = v
-        else:
-            del net[v]
-            if v == self.best:
-                self.stale = True
-        if v != v:
-            self.nan = self.stale = True
-
-    def value(self) -> Any:
-        """``max(net)`` (``None`` when empty), rescanning only when stale."""
-        if self.stale:
-            metrics.counter("ivm.group.extreme_rescans").inc()
-            net = self.net
-            self.best = self.pick(net) if net else None
-            if self.nan:
-                self.nan = any(k != k for k in net)
-            self.stale = self.nan
-        return self.best
-
-
-class _Min(_Extreme):
-    __slots__ = ()
-
-    pick = staticmethod(min)
-    beats = staticmethod(operator.lt)
-
-
 class GroupByNode(Node):
     """Incremental group-by over running per-group aggregate state.
 
     No trace: the node folds every delta row directly into a small state
-    record per live group — net row multiplicity, plus per aggregate a
-    null-skipping count, an exact running sum, or (for min/max, which are
-    not subtractable) a net-multiplicity map over the group's values with
-    its current extreme cached beside it (:class:`_Extreme`).  A batch
-    therefore costs O(delta rows x aggregates) to absorb plus O(touched
-    groups) to emit, independent of both table size and group sizes —
-    except that a min/max whose extreme was retracted rescans that
-    group's distinct values once (``ivm.group.extreme_rescans``).
+    record per live group — net row multiplicity, plus per aggregate the
+    retractable fold state of the aggregate algebra
+    (:mod:`repro.table.aggregate`; docs/table.md, "Aggregate semantics").
+    A batch therefore costs O(delta rows x aggregates) to absorb plus
+    O(touched groups) to emit, independent of both table size and group
+    sizes — except that a min/max whose extreme was retracted rescans
+    that group's distinct values once (``ivm.group.extreme_rescans``).
 
     For each key the delta touches, the node emits ``(old_row, -1),
     (new_row, +1)`` against its cached last output — the standard DBSP
-    retraction pattern.
-
-    Aggregate semantics mirror ``Table.group_by``: nulls are skipped,
-    empty (all-null) aggregates yield null, ``count`` counts non-null
-    values, int sums stay exact python ints, ``avg`` divides the
-    null-skipping sum by the null-skipping count.  ``count_star`` counts
-    net multiplicity (no batch-kernel twin; used by SQL ``COUNT(*)``).
-    Float sums accumulate in arrival order, so they match batch
-    bit-for-bit only on dyadic-grid data (docs/ivm.md); a group whose net
-    multiplicity returns to zero drops its state entirely, so cancelled
-    float residue can never leak into a reborn group.
+    retraction pattern.  A group whose net multiplicity returns to zero
+    drops its state, so cancelled float residue never leaks into a reborn
+    group.
     """
 
     def __init__(self, input_node: Node, keys: Sequence[str],
                  aggregates: Sequence[tuple[str, str | None, str]]) -> None:
         self.input = input_node
         self.keys = list(keys)
-        schema = input_node.schema
-        out_fields = [schema.field(k) for k in self.keys]
-        self._aggs: list[tuple[str, str | None, str]] = []
-        for fn, col, out in aggregates:
-            if fn not in GROUP_AGGREGATES:
-                raise IvmError(
-                    f"unknown aggregate {fn!r}; options: "
-                    f"{sorted(GROUP_AGGREGATES)}"
-                )
-            if fn in ("count", "count_star"):
-                dtype = "int"
-            elif fn in ("sum", "min", "max"):
-                dtype = schema.dtype_of(col)
-            else:
-                dtype = "float"
-            out_fields.append(Field(out, dtype))
-            self._aggs.append((fn, col, out))
-        self.schema = Schema(out_fields)
+        self._aggs = [tuple(spec) for spec in aggregates]
+        try:
+            fields = output_fields(input_node.schema, self.keys, self._aggs)
+        except SchemaError as exc:
+            raise IvmError(str(exc)) from exc
+        self.schema = Schema(fields)
+        self._fns = [lookup(fn) for fn, _col, _out in self._aggs]
         self.streams = input_node.streams
-        # key tuple -> [net_rows, state_0, state_1, ...] with one state
-        # slot per aggregate: None for count_star (derived from net_rows),
-        # int for count, [count, acc] for sum/avg, an _Extreme for
-        # min/max.
+        # key tuple -> [net_rows, state_0, state_1, ...] with one fold
+        # state per aggregate.
         self._groups: dict[tuple[Any, ...], list[Any]] = {}
         self._out_cache: dict[tuple[Any, ...], tuple[Any, ...]] = {}
 
     def _fresh_state(self) -> list[Any]:
-        state: list[Any] = [0]
-        for fn, _col, _out in self._aggs:
-            if fn == "count_star":
-                state.append(None)
-            elif fn == "count":
-                state.append(0)
-            elif fn in ("sum", "avg"):
-                state.append([0, 0])
-            else:
-                state.append(_Min() if fn == "min" else _Extreme())
-        return state
+        return [0] + [fn.state() for fn in self._fns]
 
     def delta(self, changes: dict) -> ZSet:
         d = self.input.delta(changes)
         if len(d) == 0:
             return self._empty()
-        if len(d) >= _BULK_FOLD_MIN and self.keys:
-            affected = self._fold_bulk(d)
-        else:
-            affected = self._fold_rows(d)
+        affected = self._fold(d)
         metrics.counter("ivm.group.delta_rows").inc(len(d))
         metrics.counter("ivm.group.touched").inc(len(affected))
         rows: list[tuple[Any, ...]] = []
@@ -568,141 +465,64 @@ class GroupByNode(Node):
         out_payload = Table.from_rows(rows, schema=self.schema)
         return ZSet(out_payload, np.asarray(weights, dtype=np.int64))
 
-    def _fold_rows(self, d: ZSet) -> dict[tuple[Any, ...], None]:
-        """Row-at-a-time fold; exact for every dtype, best for small deltas."""
-        payload = d.payload
-        keys = _key_tuples(payload, self.keys)
-        dweights = d.weights.tolist()
-        # (state slot, kind, column values) per aggregate that carries state
-        folds = [
-            (slot, fn, payload.column(col))
-            for slot, (fn, col, _out) in enumerate(self._aggs, start=1)
-            if fn != "count_star"
-        ]
+    def _fold(self, d: ZSet) -> list[tuple[Any, ...]]:
+        """Fold a delta into the group states; returns the touched keys.
+
+        Rows resolve to groups once (numpy row codes for large deltas, a
+        dict for small ones).  Linear aggregates pre-aggregate the delta
+        per group and add it in one step per touched group; min/max fold
+        row at a time.  Delta sums add in row order (docs/ivm.md, the
+        float caveat)."""
+        payload, w = d.payload, d.weights
+        if len(d) >= _BULK_FOLD_MIN and self.keys:
+            codes = payload.project(self.keys).row_codes()
+            _uniq, first, inv = np.unique(codes, return_index=True,
+                                          return_inverse=True)
+            rows = np.argsort(first, kind="stable")
+            key_cols = [payload.column(k) for k in self.keys]
+            keys = [tuple(col[i] for col in key_cols)
+                    for i in first[rows].tolist()]
+            inv = np.argsort(rows)[inv]         # ids in appearance order
+        else:
+            ids: dict[tuple[Any, ...], int] = {}
+            inv = np.array([ids.setdefault(key, len(ids)) for key
+                            in _key_tuples(payload, self.keys)], np.int64)
+            keys = list(ids)
         groups = self._groups
-        affected: dict[tuple[Any, ...], None] = {}
-        for i, key in enumerate(keys):
-            wi = dweights[i]
+        states = []
+        for key, net in zip(keys, exact_sums(w, inv, len(keys)).tolist()):
             state = groups.get(key)
             if state is None:
                 state = groups[key] = self._fresh_state()
-            state[0] += wi
-            affected[key] = None
-            for slot, fn, values in folds:
-                v = values[i]
-                if v is None:
-                    continue
-                if fn == "count":
-                    state[slot] += wi
-                elif fn in ("sum", "avg"):
-                    acc = state[slot]
-                    acc[0] += wi
-                    acc[1] += v * wi
-                    if acc[0] == 0:
-                        acc[1] = 0  # all values retracted: drop residue
-                else:
-                    state[slot].fold(v, wi)
-        return affected
-
-    def _fold_bulk(self, d: ZSet) -> dict[tuple[Any, ...], None]:
-        """Vectorized fold for large deltas: bucket count/sum per distinct
-        key with numpy, then merge one python step per *touched group*
-        instead of per row.  min/max folds stay row-at-a-time (they update
-        a per-value map), but ride on the same group resolution.
-
-        Bucket sums accumulate in row order, so this path is value-exact
-        with :meth:`_fold_rows` on ints and on dyadic-grid floats — the
-        same caveat batch equivalence already carries (docs/ivm.md).
-        """
-        payload = d.payload
-        w = d.weights
-        codes = payload.project(self.keys).row_codes()
-        _uniq, first, inv = np.unique(codes, return_index=True,
-                                      return_inverse=True)
-        n_groups = len(first)
-        net = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(net, inv, w)
-        bucket: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-        minmax: list[tuple[int, str, list[Any]]] = []
-        for slot, (fn, col, _out) in enumerate(self._aggs, start=1):
-            if fn == "count_star":
+            state[0] += net
+            states.append(state)
+        for slot, (fn, (_name, name, _out)) in enumerate(
+                zip(self._fns, self._aggs), start=1):
+            col = (payload.columns()[payload.schema.index_of(name)]
+                   if fn.takes_column else None)
+            if fn.linear:
+                for state, n, total in zip(
+                        states, *fn.delta(col, w, inv, len(keys))):
+                    state[slot].add(n, total)
                 continue
-            if fn in ("min", "max"):
-                minmax.append((slot, fn, payload.column(col)))
-                continue
-            present = ~payload.null_mask(col)
-            gids = inv[present]
-            cnt = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(cnt, gids, w[present])
-            sums = None
-            if fn in ("sum", "avg"):
-                vals = payload.column_array(col)[present]
-                sums = np.zeros(n_groups, dtype=vals.dtype)
-                np.add.at(sums, gids, vals * w[present])
-            bucket[slot] = (cnt, sums)
-        groups = self._groups
-        affected: dict[tuple[Any, ...], None] = {}
-        key_cols = [payload.column(k) for k in self.keys]
-        gstates: list[list[Any]] = [None] * n_groups  # type: ignore[list-item]
-        for g in np.argsort(first, kind="stable").tolist():
-            fi = int(first[g])
-            key = tuple(col[fi] for col in key_cols)
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = self._fresh_state()
-            state[0] += int(net[g])
-            affected[key] = None
-            gstates[g] = state
-            for slot, (cnt, sums) in bucket.items():
-                if sums is None:
-                    state[slot] += int(cnt[g])
-                else:
-                    acc = state[slot]
-                    acc[0] += int(cnt[g])
-                    acc[1] += sums[g].item()
-                    if acc[0] == 0:
-                        acc[1] = 0  # all values retracted: drop residue
-        if minmax:
-            dweights = w.tolist()
-            ginv = inv.tolist()
-            for slot, _fn, values in minmax:
-                folds = [gstate[slot].fold for gstate in gstates]
-                for v, g, wi in zip(values, ginv, dweights):
-                    if v is not None:
-                        folds[g](v, wi)
-        return affected
+            folds = [state[slot].fold for state in states]
+            for v, g, wi in zip(col.to_pylist(), inv.tolist(), w.tolist()):
+                if v is not None:
+                    folds[g](v, wi)
+        return keys
 
     def _group_row(self, key: tuple[Any, ...]) -> tuple[Any, ...] | None:
         """Current output row from running state; ``None`` = group gone."""
         state = self._groups.get(key)
         if state is None:
             return None
-        total = state[0]
-        if total <= 0:
+        if state[0] <= 0:
             # Net multiplicity zero: the group is gone and its state must
             # go with it (float accumulators would otherwise carry residue
             # into a later rebirth of the same key).
             del self._groups[key]
             return None
-        row: list[Any] = list(key)
-        for slot, (fn, _col, _out) in enumerate(self._aggs, start=1):
-            if fn == "count_star":
-                row.append(total)
-            elif fn == "count":
-                row.append(state[slot])
-            elif fn in ("sum", "avg"):
-                count, acc = state[slot]
-                if count <= 0:
-                    row.append(None)
-                elif fn == "sum":
-                    row.append(acc)
-                else:
-                    row.append(acc / count)
-            else:
-                # min/max over values with net multiplicity > 0: valid
-                # because the upstream state is a true multiset.
-                row.append(state[slot].value())
-        return tuple(row)
+        return key + tuple(fold.value() for fold in state[1:])
 
     def describe(self) -> str:
         aggs = ", ".join(f"{fn}({col or '*'}) AS {out}"

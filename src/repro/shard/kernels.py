@@ -26,8 +26,9 @@ Exactness arguments, per kernel:
   repartitioning entirely and broadcast to every probe shard.
 - ``group_by`` — when the partition keys are a subset of the group keys,
   no group straddles shards and per-shard aggregation is exact as-is;
-  otherwise each shard emits partial aggregates (count/sum/min/max, avg
-  as sum+count) that merge exactly.
+  otherwise each shard emits the partial aggregates that
+  :mod:`repro.table.aggregate` decomposes each function into, and they
+  merge exactly (docs/table.md, "Aggregate semantics").
 - ``distinct`` — duplicate rows agree on every column, hence on the
   partition keys, hence co-locate; per-shard distinct is globally exact.
 """
@@ -46,7 +47,8 @@ from repro.shard.partition import (
     RangePartitioner,
 )
 from repro.shard.table import MemoryShard, PartitionedTable, ShardIndex
-from repro.table import Column, Schema, Table
+from repro.table import Schema, Table
+from repro.table.aggregate import lookup, output_fields
 from repro.table.table import _factorize_key_pairs, segment_group_by
 
 #: Right sides at or below this many rows join by broadcast (shipped whole
@@ -279,7 +281,7 @@ def _join_plan_for(left: PartitionedTable, right: PartitionedTable,
 # -- group_by --------------------------------------------------------------
 
 def group_by(ptable: PartitionedTable, keys: Sequence[str],
-             aggregates: Sequence[tuple[str, str, str]],
+             aggregates: Sequence[tuple[str, str | None, str]],
              pmap: BaseMap | None = None) -> Table:
     """Sharded GROUP BY; same semantics as :meth:`Table.group_by`.
 
@@ -287,9 +289,9 @@ def group_by(ptable: PartitionedTable, keys: Sequence[str],
     group spans shards, so each shard aggregates independently (reusing
     its cached :class:`~repro.shard.ShardIndex` codes when the key tuples
     match — the fast path) and results concatenate.  Otherwise each shard
-    emits partial aggregates that merge exactly: counts and sums add,
-    min/max re-reduce, avg carries (sum, count).  Group order differs
-    from the single-table kernel (canonical-order equivalence only).
+    emits partial aggregates that merge exactly, as the aggregate algebra
+    decomposes them.  Group order differs from the single-table kernel
+    (canonical-order equivalence only).
     """
     keys = list(keys)
     with timed("shard.group_by.seconds", span_name="shard.group_by",
@@ -324,75 +326,32 @@ def _group_by_partitioned(ptable: PartitionedTable, keys: list[str],
 
 def _group_by_merge(ptable: PartitionedTable, keys: list[str],
                     aggregates, pmap: BaseMap | None) -> Table:
+    """Each shard computes every aggregate's ``partials``; the partials
+    merge by their ``merge`` functions and each aggregate finalizes from
+    its merged partials — exact by the algebra's decomposition."""
     schema = ptable.schema
-    out_fields = Table.empty(schema)._group_fields(keys, list(aggregates))
-
-    def internal(stem: str) -> str:
-        name = stem
-        while name in schema.names:
-            name = "_" + name
-        return name
-
-    # Per-shard partial specs and the merge spec over the partials.
-    partial_specs: list[tuple[str, str, str]] = []
-    merge_specs: list[tuple[str, str, str]] = []
-    plans: list[tuple[str, str, str | None]] = []  # (fn, value_col, count_col)
-    for i, (fn, col, _out) in enumerate(aggregates):
-        if fn == "avg":
-            s_name = internal(f"__p{i}_sum")
-            c_name = internal(f"__p{i}_count")
-            partial_specs += [("sum", col, s_name), ("count", col, c_name)]
-            merge_specs += [("sum", s_name, s_name), ("sum", c_name, c_name)]
-            plans.append((fn, s_name, c_name))
-        else:
-            p_name = internal(f"__p{i}_{fn}")
-            partial_specs.append((fn, col, p_name))
-            merge_fn = "sum" if fn in ("count", "sum") else fn
-            merge_specs.append((merge_fn, p_name, p_name))
-            plans.append((fn, p_name, None))
+    fns = [lookup(name) for name, _col, _out in aggregates]
+    partial_specs: list[tuple[str, str | None, str]] = []
+    for fn, (_name, col, _out) in zip(fns, aggregates):
+        for part in fn.partials:
+            slot = f"__p{len(partial_specs)}"
+            while slot in schema.names:
+                slot = "_" + slot
+            partial_specs.append((part, col, slot))
 
     parts = _shard_map(pmap,
                        lambda i: ptable.shard(i).group_by(keys,
                                                           partial_specs),
                        ptable.num_shards, "shard.group_by")
-    partials = concat_tables(parts[0].schema, parts)
-    merged = merge_partial_aggregates(partials, keys, merge_specs, plans,
-                                      out_fields)
-    return merged
-
-
-def merge_partial_aggregates(partials: Table, keys: list[str], merge_specs,
-                             plans, out_fields) -> Table:
-    """Combine per-shard partial aggregates into final values.
-
-    Exactness: counts/sums add associatively (float sums exactly when the
-    addends are exactly representable, e.g. dyadic — the same caveat any
-    parallel sum carries), min/max re-reduce, and ``avg`` divides the
-    merged sum by the merged count (null when the count is zero, matching
-    the null-skipping oracle).
-    """
-    merged = partials.group_by(keys, merge_specs)
-    out_cols = list(merged.columns()[:len(keys)])
-    for field, (fn, value_name, count_name) in zip(out_fields[len(keys):],
-                                                   plans):
-        vcol = merged.columns()[merged.schema.index_of(value_name)]
-        if fn == "avg":
-            ccol = merged.columns()[merged.schema.index_of(count_name)]
-            values = []
-            for sv, cv in zip(vcol.to_pylist(), ccol.to_pylist()):
-                if sv is None or not cv:
-                    values.append(None)
-                else:
-                    values.append(sv / cv)
-            out_cols.append(Column.build(values, "float"))
-        elif fn == "count":
-            # A shard with zero qualifying values contributes a 0 partial,
-            # never a null, so the merged sum is non-null; coerce dtype.
-            out_cols.append(Column(field.dtype, vcol.values, vcol.mask))
-        else:
-            out_cols.append(Column(field.dtype, vcol.values, vcol.mask))
-    return Table._trusted(Schema(list(out_fields)), tuple(out_cols),
-                          num_rows=merged.num_rows)
+    merged = concat_tables(parts[0].schema, parts).group_by(
+        keys, [(lookup(part).merge, slot, slot)
+               for part, _col, slot in partial_specs])
+    columns = merged.columns()
+    partials = iter(columns[len(keys):])
+    out_cols = list(columns[:len(keys)]) + [
+        fn.finalize([next(partials) for _ in fn.partials]) for fn in fns]
+    return Table._trusted(Schema(output_fields(schema, keys, aggregates)),
+                          tuple(out_cols), num_rows=merged.num_rows)
 
 
 __all__ = [
@@ -402,5 +361,4 @@ __all__ = [
     "filter",
     "group_by",
     "join",
-    "merge_partial_aggregates",
 ]

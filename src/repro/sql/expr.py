@@ -39,13 +39,15 @@ from repro.sql.ast import (
     UnaryOp,
 )
 from repro.table import Column, Table
-from repro.table.schema import Schema, infer_dtype
+from repro.table.aggregate import AGGREGATES, AggregateFunction
+from repro.table.schema import Schema, coerce, infer_dtype
 
 __all__ = [
+    "AggregateItems",
     "WhereMask",
+    "aggregate_of",
     "aggregate_rows",
     "default_name",
-    "eval_aggregate",
     "eval_row",
     "eval_vec",
     "expr_columns",
@@ -200,63 +202,111 @@ def eval_row(expr: Expr, row: dict[str, Any]) -> Any:
     raise ParseError(f"cannot evaluate {expr!r}")
 
 
-def eval_aggregate(expr: Expr, rows: list[dict[str, Any]],
-                   key_values: dict[str, Any]) -> Any:
-    if isinstance(expr, FuncCall):
-        if expr.argument == "*":
-            if expr.name != "count":
-                raise ParseError(f"{expr.name}(*) is not valid SQL")
-            return len(rows)
-        args = [eval_row(expr.argument, row) for row in rows]
-        args = [a for a in args if a is not None]
-        if expr.name == "count":
-            return len(args)
-        if not args:
-            return None
-        if expr.name == "sum":
-            return sum(args)
-        if expr.name == "min":
-            return min(args)
-        if expr.name == "max":
-            return max(args)
-        if expr.name == "avg":
-            return sum(args) / len(args)
-        raise ParseError(f"unknown aggregate {expr.name}")
-    if isinstance(expr, ColumnRef):
-        if expr.name in key_values:
-            return key_values[expr.name]
-        raise ParseError(
-            f"column {expr.name!r} must appear in GROUP BY or an aggregate"
-        )
-    if isinstance(expr, Literal):
-        return expr.value
-    raise ParseError("unsupported expression in aggregate SELECT list")
+def aggregate_of(call: FuncCall) -> AggregateFunction:
+    """The aggregate algebra's function for a SQL call: ``count(*)`` is
+    ``count_star``, ``f(expr)`` the function named ``f``."""
+    if call.argument == "*":
+        if call.name != "count":
+            raise ParseError(f"{call.name}(*) is not valid SQL")
+        return AGGREGATES["count_star"]
+    fn = AGGREGATES.get(call.name)
+    if fn is None or not fn.takes_column:
+        raise ParseError(f"unknown aggregate {call.name}")
+    return fn
+
+
+class AggregateItems:
+    """A GROUP BY SELECT list as group-by ``specs`` (a computed argument
+    reads helper column ``__arg<i>``, listed in ``computed``) and, per
+    item, the grouped column or :class:`Literal` it outputs under its
+    name; shared by the row oracle, the planner and the view compiler."""
+
+    __slots__ = ("specs", "computed", "outputs")
+
+    def __init__(self, items: list[SelectItem], group_by: list[str],
+                 schema: Schema):
+        self.specs: list[tuple[str, str | None, str]] = []
+        self.computed: list[tuple[str, Expr]] = []
+        self.outputs: list[tuple[str | Literal, str]] = []
+        for i, item in enumerate(items):
+            expr = item.expr
+            if isinstance(expr, ColumnRef):
+                if expr.name not in group_by:
+                    raise ParseError(f"column {expr.name!r} must appear "
+                                     f"in GROUP BY or an aggregate")
+                source = expr.name
+            elif isinstance(expr, Literal):
+                source = expr
+            elif isinstance(expr, FuncCall):
+                fn = aggregate_of(expr)
+                arg = expr.argument if fn.takes_column else None
+                if isinstance(arg, ColumnRef) and arg.name in schema:
+                    arg = arg.name
+                elif arg is not None:
+                    self.computed.append((f"__arg{i}", arg))
+                    arg = f"__arg{i}"
+                source = f"__agg{i}"
+                self.specs.append((fn.name, arg, source))
+            else:
+                raise ParseError(
+                    "unsupported expression in aggregate SELECT list")
+            self.outputs.append((source, item.alias or default_name(expr)))
+
+    def arguments(self, table: Table, column_of) -> Table | None:
+        """``table`` plus the computed argument columns, each built by
+        ``column_of(expr, table)`` (None when one cannot be built)."""
+        fields = [(f.name, f.dtype) for f in table.schema]
+        columns = list(table.columns())
+        for name, expr in self.computed:
+            col = column_of(expr, table)
+            if col is None:
+                return None
+            fields.append((name, col.dtype))
+            columns.append(col)
+        return Table.from_columns(Schema(fields), columns)
+
+    def accepts(self, schema: Schema) -> bool:
+        """Whether each aggregate takes its argument's dtype in
+        ``schema`` (arguments not built yet pass)."""
+        return all(col not in schema
+                   or AGGREGATES[fn].accepts(schema.dtype_of(col))
+                   for fn, col, _slot in self.specs if col is not None)
+
+    def finish(self, grouped: Table) -> Table:
+        """The grouped output in SELECT order, under the items' names."""
+        fields, columns = [], []
+        for source, name in self.outputs:
+            if isinstance(source, Literal):
+                dtype = infer_dtype([source.value])
+                col = Column.build([source.value] * grouped.num_rows, dtype)
+            else:
+                col = grouped.columns()[grouped.schema.index_of(source)]
+            fields.append((name, col.dtype))
+            columns.append(col)
+        return Table.from_columns(Schema(fields), columns)
+
+
+def _row_column(expr: Expr, table: Table) -> Column:
+    """``expr`` evaluated row by row, its dtype inferred from the values."""
+    values = [eval_row(expr, row) for row in table.row_dicts()]
+    dtype = infer_dtype(values)
+    return Column.build([coerce(v, dtype) for v in values], dtype)
 
 
 def aggregate_rows(items: list[SelectItem], group_by: list[str],
                    table: Table) -> Table:
-    """Row-at-a-time GROUP BY over ``row_dicts()`` — the aggregate oracle."""
-    groups: dict[tuple, list[dict[str, Any]]] = {}
-    order: list[tuple] = []
-    for row in table.row_dicts():
-        key = tuple(row[k] for k in group_by)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    if not group_by and not groups:
-        groups[()] = []
-        order.append(())
-    names = [item.alias or default_name(item.expr) for item in items]
-    out_rows = []
-    for key in order:
-        rows = groups[key]
-        values = [
-            eval_aggregate(item.expr, rows, dict(zip(group_by, key)))
-            for item in items
-        ]
-        out_rows.append(tuple(values))
-    return Table.from_rows(out_rows, names=names)
+    """Row-at-a-time GROUP BY — the aggregate oracle: arguments evaluate
+    row by row, and :meth:`Table.group_by_reference` reduces each group
+    with the aggregate algebra's row reduce."""
+    plan = AggregateItems(items, group_by, table.schema)
+    work = plan.arguments(table, _row_column)
+    grouped = work.group_by_reference(group_by, plan.specs)
+    if not group_by and not grouped.num_rows:
+        # A global aggregate over no rows is still one row (COUNT = 0).
+        grouped = Table.from_rows(
+            [tuple(AGGREGATES[fn].reduce([]) for fn, _c, _s in plan.specs)],
+            schema=grouped.schema)
+    return plan.finish(grouped)
 
 
 # -- projection ---------------------------------------------------------------
@@ -290,11 +340,11 @@ def project_items(items: list[SelectItem], table: Table) -> Table:
 def project_column(expr: Expr, table: Table) -> Column | None:
     """One SELECT item as a trusted :class:`Column`, or None if opaque.
 
-    Dtype rules mirror the historic row path, which re-inferred dtypes from
-    the materialized python values: an all-null result degrades to ``str``
-    (what :func:`infer_dtype` does with no evidence), a source column
-    otherwise keeps its dtype, and computed expressions take the numpy
-    result dtype.
+    Dtype rules: a source column keeps its dtype (NULLs or not, as on an
+    empty input and in the optimizer's zero-copy projection); an all-null
+    computed result degrades to ``str`` (what :func:`infer_dtype` does
+    with no evidence); other computed expressions take the numpy result
+    dtype.
     """
     out = eval_vec(expr, table)
     if out is None:
@@ -312,11 +362,11 @@ def project_column(expr: Expr, table: Table) -> Column | None:
             )
     if mask is None:
         mask = np.zeros(n, dtype=bool)
+    if isinstance(expr, ColumnRef) and expr.name in table.schema:
+        return Column(table.schema.dtype_of(expr.name), values, mask)
     if mask.all():
         return Column("str", np.full(n, None, dtype=object),
                       np.ones(n, dtype=bool))
-    if isinstance(expr, ColumnRef) and expr.name in table.schema:
-        return Column(table.schema.dtype_of(expr.name), values, mask)
     if values.dtype == np.bool_:
         dtype = "bool"
     elif np.issubdtype(values.dtype, np.integer):

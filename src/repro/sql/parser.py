@@ -29,6 +29,7 @@ from repro.sql.ast import (
     SelectItem,
     UnaryOp,
 )
+from repro.table.aggregate import AGGREGATES as ALGEBRA
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -45,7 +46,10 @@ KEYWORDS = {
     "true", "false", "in", "between",
 }
 
-AGGREGATES = {"count", "sum", "avg", "min", "max"}
+#: Function names that parse as aggregate calls: the aggregate algebra's
+#: functions over a column (``count_star`` is spelled ``count(*)``).
+AGGREGATES = frozenset(name for name, fn in ALGEBRA.items()
+                       if fn.takes_column)
 
 
 def tokenize(sql: str) -> list[tuple[str, str]]:

@@ -33,8 +33,9 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.obs import tracing
-from repro.sql.ast import BinaryOp, ColumnRef, Expr, FuncCall, Literal
+from repro.sql.ast import BinaryOp, ColumnRef, Expr, Literal
 from repro.sql.expr import (
+    AggregateItems,
     WhereMask,
     aggregate_rows,
     default_name,
@@ -57,7 +58,7 @@ from repro.sql.plan import (
     describe,
     output_schema,
 )
-from repro.table import Column, Table
+from repro.table import Table
 from repro.table.schema import Schema
 
 __all__ = ["PhysicalNode", "PhysicalPlan", "bind"]
@@ -301,16 +302,16 @@ def _bind_join(node: Join, db, pmap) -> PhysicalNode:
 def _bind_aggregate(node: Aggregate, db, pmap) -> PhysicalNode:
     child = _bind(node.child, db, pmap)
     schema = output_schema(node.child, db)
-    simple = _aggregate_plan(node, schema)
-    sharded = (simple is not None and simple.shardable
+    plan = AggregateItems(list(node.items), list(node.group_by), schema)
+    simple = plan.accepts(schema)
+    sharded = (simple and not plan.computed
                and db.plan_partition_keys(node.child) is not None
                and set(db.plan_partition_keys(node.child))
                <= set(node.group_by))
     if sharded:
         backend = "shard[partition-aligned]"
     else:
-        backend = ("columnar[group_by]" if simple is not None
-                   else "columnar[rows]")
+        backend = "columnar[group_by]" if simple else "columnar[rows]"
     by = ",".join(node.group_by) or "<all>"
 
     def run(record):
@@ -321,13 +322,12 @@ def _bind_aggregate(node: Aggregate, db, pmap) -> PhysicalNode:
                     and source.num_rows > 0):
                 from repro.shard import kernels as shard_kernels
 
-                grouped = shard_kernels.group_by(
-                    source, list(node.group_by), simple.specs, pmap)
-                out = simple.finish(grouped)
+                out = plan.finish(shard_kernels.group_by(
+                    source, list(node.group_by), plan.specs, pmap))
                 vectorized = True
             else:
-                table = _materialize(source)
-                out, vectorized = _run_aggregate(node, simple, table)
+                out, vectorized = _run_aggregate(node, plan,
+                                                 _materialize(source))
             s.set(rows_out=out.num_rows)
         record("aggregate", s, rows_in, out.num_rows, by=by,
                vectorized=vectorized)
@@ -336,110 +336,18 @@ def _bind_aggregate(node: Aggregate, db, pmap) -> PhysicalNode:
     return PhysicalNode("aggregate", describe(node), backend, [child], run)
 
 
-class _AggregatePlan:
-    """A vectorizable aggregate: group_by specs plus output assembly."""
-
-    __slots__ = ("specs", "sources", "group_by", "star_slots",
-                 "computed", "shardable", "sources_and_finals")
-
-    def __init__(self, group_by):
-        self.group_by = list(group_by)
-        self.specs: list[tuple[str, str, str]] = []
-        self.sources: list[str] = []     # grouped-table column per item
-        self.computed: list[tuple[str, Expr]] = []  # helper columns to add
-        self.star_slots: list[str] = []
-        self.shardable = True
-        self.sources_and_finals: list[tuple[str, str]] = []
-
-    def finish(self, grouped: Table) -> Table:
-        """Reassemble the grouped output in SELECT order with final names."""
-        fields = []
-        columns = []
-        for src, final in self.sources_and_finals:
-            dtype = grouped.schema.dtype_of(src)
-            fields.append((final, dtype))
-            columns.append(Column(dtype, grouped.column_array(src),
-                                  grouped.null_mask(src)))
-        return Table.from_columns(Schema(fields), columns)
-
-
-def _aggregate_plan(node: Aggregate, schema: Schema) -> _AggregatePlan | None:
-    """Compile SELECT items to ``Table.group_by`` specs, or None when the
-    row-at-a-time oracle must run (literal items, opaque expressions,
-    sum/avg over non-numeric columns)."""
-    plan = _AggregatePlan(node.group_by)
-    finals = []
-    for i, item in enumerate(node.items):
-        expr = item.expr
-        final = item.alias or default_name(expr)
-        finals.append(final)
-        if isinstance(expr, ColumnRef):
-            if expr.name not in node.group_by:
-                return None              # oracle raises the ParseError
-            plan.sources.append(expr.name)
-            continue
-        if not isinstance(expr, FuncCall):
-            return None                  # literals etc.: keep oracle semantics
-        slot = f"__a{i}"
-        if expr.argument == "*":
-            if expr.name != "count":
-                return None
-            star = "__star"
-            plan.star_slots.append(star)
-            plan.specs.append(("count", star, slot))
-            plan.sources.append(slot)
-            plan.shardable = False       # needs the injected ones column
-            continue
-        arg = expr.argument
-        if isinstance(arg, ColumnRef) and arg.name in schema:
-            arg_name, arg_dtype = arg.name, schema.dtype_of(arg.name)
-        else:
-            arg_name = f"__arg{i}"
-            plan.computed.append((arg_name, arg))
-            arg_dtype = None             # checked when the column is built
-            plan.shardable = False
-        if expr.name in ("sum", "avg") and arg_dtype not in (None, "int",
-                                                             "float"):
-            return None
-        plan.specs.append((expr.name, arg_name, slot))
-        plan.sources.append(slot)
-    plan.sources_and_finals = list(zip(plan.sources, finals))
-    return plan
-
-
-def _run_aggregate(node: Aggregate, simple: _AggregatePlan | None,
+def _run_aggregate(node: Aggregate, plan: AggregateItems,
                    table: Table) -> tuple[Table, bool]:
-    items = list(node.items)
+    """The vectorized ``Table.group_by`` when every argument column builds
+    vectorized and is accepted, else the row oracle."""
     group_by = list(node.group_by)
-    if simple is None or (table.num_rows == 0 and not group_by):
-        # Global aggregate over zero rows still emits one row (COUNT = 0):
-        # only the row oracle produces it.
-        return aggregate_rows(items, group_by, table), False
-    work = table
-    extra_fields = []
-    extra_cols = []
-    n = table.num_rows
-    if simple.star_slots:
-        ones = Column("int", np.ones(n, dtype=np.int64),
-                      np.zeros(n, dtype=bool))
-        for star in dict.fromkeys(simple.star_slots):
-            extra_fields.append((star, "int"))
-            extra_cols.append(ones)
-    for arg_name, expr in simple.computed:
-        col = project_column(expr, work)
-        if col is None:
-            return aggregate_rows(items, group_by, table), False
-        fn = next(f for f, c, _ in simple.specs if c == arg_name)
-        if fn in ("sum", "avg") and col.dtype not in ("int", "float"):
-            return aggregate_rows(items, group_by, table), False
-        extra_fields.append((arg_name, col.dtype))
-        extra_cols.append(col)
-    if extra_cols:
-        fields = [(f.name, f.dtype) for f in work.schema] + extra_fields
-        work = Table.from_columns(
-            Schema(fields), list(work.columns()) + extra_cols)
-    grouped = work.group_by(group_by, simple.specs)
-    return simple.finish(grouped), True
+    # Global aggregate over zero rows still emits one row (COUNT = 0):
+    # only the row oracle produces it.
+    work = (plan.arguments(table, project_column)
+            if table.num_rows or group_by else None)
+    if work is None or not plan.accepts(work.schema):
+        return aggregate_rows(list(node.items), group_by, table), False
+    return plan.finish(work.group_by(group_by, plan.specs)), True
 
 
 # -- sort / project / limit ---------------------------------------------------

@@ -26,10 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.errors import ParseError, SchemaError
+from repro.errors import SchemaError
 from repro.sql.ast import ColumnRef, Expr, FuncCall, Query, SelectItem
-from repro.sql.expr import default_name, expr_columns, render_expr
-from repro.sql.parser import AGGREGATES
+from repro.sql.expr import (
+    AggregateItems,
+    default_name,
+    expr_columns,
+    render_expr,
+)
 from repro.table.schema import Schema
 
 __all__ = [
@@ -143,7 +147,9 @@ def compile_query(query: Query, catalog) -> Node:
     if query.where is not None:
         node = Filter(node, query.where)
     if query.group_by or any(isinstance(i.expr, FuncCall) for i in query.select):
-        _validate_aggregate_items(query.select, query.group_by)
+        # The row oracle's SELECT-list checks, at plan time, so they
+        # surface even on empty inputs.
+        AggregateItems(list(query.select), list(query.group_by), Schema([]))
         node = Aggregate(node, tuple(query.group_by), tuple(query.select))
         if query.order_by is not None:
             node = Sort(node, *query.order_by)
@@ -155,22 +161,6 @@ def compile_query(query: Query, catalog) -> Node:
     if query.limit is not None:
         node = Limit(node, query.limit)
     return node
-
-
-def _validate_aggregate_items(items, group_by) -> None:
-    """Reject the same shapes the row-at-a-time oracle rejects — but at
-    plan time, so they surface even on empty inputs."""
-    for item in items:
-        expr = item.expr
-        if isinstance(expr, ColumnRef) and expr.name not in group_by:
-            raise ParseError(
-                f"column {expr.name!r} must appear in GROUP BY or an aggregate"
-            )
-        if isinstance(expr, FuncCall):
-            if expr.argument == "*" and expr.name != "count":
-                raise ParseError(f"{expr.name}(*) is not valid SQL")
-            if expr.name not in AGGREGATES:
-                raise ParseError(f"unknown aggregate {expr.name}")
 
 
 # -- schema derivation ---------------------------------------------------------

@@ -24,18 +24,17 @@ at ``create_view`` time, never at push time):
   the ``COUNT(*) = 0`` row batch SQL produces)
 * ORDER BY / LIMIT, applied when the view is read
 
-One deliberate divergence: the batch aggregate path re-infers output
-dtypes from materialized python values, so an all-NULL aggregate column
-degrades to ``str`` there while the view keeps the declared dtype.  Row
-values are identical either way.
+Aggregate values and output dtypes come from the aggregate algebra
+(:mod:`repro.table.aggregate`) on both sides, so a view and the batch
+query agree on schema as well as rows.
 """
 
 from __future__ import annotations
 
 from repro.errors import IvmError, ParseError
 from repro.ivm import MaterializedView, StreamTable, ViewBuilder
-from repro.sql.ast import ColumnRef, FuncCall, Query
-from repro.sql.expr import WhereMask, default_name, where_mask
+from repro.sql.ast import ColumnRef, Literal, Query
+from repro.sql.expr import AggregateItems, WhereMask, where_mask
 from repro.sql.plan import (
     Aggregate,
     Filter,
@@ -50,8 +49,6 @@ from repro.sql.plan import (
     output_schema,
 )
 from repro.table import Table
-
-_AGG_FNS = ("count", "sum", "min", "max", "avg")
 
 
 class _StreamCatalog:
@@ -137,7 +134,7 @@ def _compile_node(name: str, node: Node, streams: dict[str, StreamTable],
         return builder.filter(WhereMask(node.predicate))
     if isinstance(node, Aggregate):
         builder = _compile_node(name, node.child, streams, catalog)
-        return _compile_grouped(name, node, builder)
+        return _compile_grouped(name, node, builder, catalog)
     if isinstance(node, Project):
         builder = _compile_node(name, node.child, streams, catalog)
         return _compile_projection(name, node, builder)
@@ -146,8 +143,8 @@ def _compile_node(name: str, node: Node, streams: dict[str, StreamTable],
     )
 
 
-def _compile_grouped(name: str, node: Aggregate,
-                     builder: ViewBuilder) -> ViewBuilder:
+def _compile_grouped(name: str, node: Aggregate, builder: ViewBuilder,
+                     catalog: _StreamCatalog) -> ViewBuilder:
     if not node.group_by:
         raise IvmError(
             f"view {name!r}: aggregates without GROUP BY are not "
@@ -155,46 +152,22 @@ def _compile_grouped(name: str, node: Aggregate,
             f"emit the zero row incrementally)"
         )
     keys = list(node.group_by)
-    aggregates: list[tuple[str, str | None, str]] = []
-    internal: list[str] = []
-    finals: list[str] = []
-    for i, item in enumerate(node.items):
-        expr = item.expr
-        final = item.alias or default_name(expr)
-        if isinstance(expr, ColumnRef):
-            if expr.name not in keys:
-                raise IvmError(
-                    f"view {name!r}: column {expr.name!r} must appear in "
-                    f"GROUP BY or an aggregate"
-                )
-            internal.append(expr.name)
-        elif isinstance(expr, FuncCall):
-            slot = f"__agg{i}"
-            if expr.argument == "*":
-                if expr.name != "count":
-                    raise IvmError(f"{expr.name}(*) is not valid SQL")
-                aggregates.append(("count_star", None, slot))
-            elif isinstance(expr.argument, ColumnRef):
-                if expr.name not in _AGG_FNS:
-                    raise IvmError(
-                        f"view {name!r}: unknown aggregate {expr.name!r}"
-                    )
-                aggregates.append((expr.name, expr.argument.name, slot))
-            else:
-                raise IvmError(
-                    f"view {name!r}: aggregates over expressions are not "
-                    f"supported in materialized views"
-                )
-            internal.append(slot)
-        else:
-            raise IvmError(
-                f"view {name!r}: unsupported SELECT expression in "
-                f"aggregate query"
-            )
-        finals.append(final)
-    builder = builder.group_by(keys, aggregates)
-    rename = {src: dst for src, dst in zip(internal, finals) if src != dst}
-    return builder.project(internal, rename)
+    plan = AggregateItems(list(node.items), keys,
+                          output_schema(node.child, catalog))
+    if plan.computed:
+        raise IvmError(
+            f"view {name!r}: aggregates over expressions are not "
+            f"supported in materialized views"
+        )
+    if any(isinstance(source, Literal) for source, _ in plan.outputs):
+        raise IvmError(
+            f"view {name!r}: unsupported SELECT expression in "
+            f"aggregate query"
+        )
+    builder = builder.group_by(keys, plan.specs)
+    return builder.project(
+        [source for source, _ in plan.outputs],
+        {source: final for source, final in plan.outputs if source != final})
 
 
 def _compile_projection(name: str, node: Project,

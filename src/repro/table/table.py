@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import SchemaError
 from repro.obs import metrics
 from repro.obs.instrument import timed
+from repro.table.aggregate import Groups, lookup, output_fields
 from repro.table.column import Column, factorize_objects, row_codes
 from repro.table.schema import Field, Schema, coerce, infer_dtype
 
@@ -47,15 +48,6 @@ _EXACT_TYPES: dict[str, frozenset[type]] = {
     "str": frozenset({str, type(None)}),
     "bool": frozenset({bool, type(None)}),
 }
-
-_AGGREGATES: dict[str, Callable[[list[Any]], Any]] = {
-    "count": lambda xs: len(xs),
-    "sum": lambda xs: sum(xs) if xs else None,
-    "min": lambda xs: min(xs) if xs else None,
-    "max": lambda xs: max(xs) if xs else None,
-    "avg": lambda xs: (sum(xs) / len(xs)) if xs else None,
-}
-
 
 class Table:
     """An immutable relational table with a fixed :class:`Schema`."""
@@ -749,14 +741,14 @@ class Table:
     def group_by(
         self,
         keys: Sequence[str],
-        aggregates: Sequence[tuple[str, str, str]],
+        aggregates: Sequence[tuple[str, str | None, str]],
     ) -> "Table":
         """Group rows and compute aggregates, vectorized.
 
-        ``aggregates`` is a list of ``(function, column, output name)`` where
-        function is one of count/sum/min/max/avg.  ``count`` counts non-null
-        values of its column (use any column for row counts on null-free keys).
-        Aggregates skip nulls, per SQL semantics.  Groups come out in
+        ``aggregates`` is a list of ``(function, column, output name)``:
+        count / sum / min / max / avg over a column, or ``count_star``
+        (column ``None``), with the aggregate algebra's semantics
+        (docs/table.md, "Aggregate semantics").  Groups come out in
         first-appearance order, matching :meth:`group_by_reference`.
         """
         return segment_group_by(self, keys, aggregates)
@@ -764,61 +756,32 @@ class Table:
     def group_by_reference(
         self,
         keys: Sequence[str],
-        aggregates: Sequence[tuple[str, str, str]],
+        aggregates: Sequence[tuple[str, str | None, str]],
     ) -> "Table":
-        """Row-at-a-time twin of :meth:`group_by`."""
+        """Row-at-a-time twin of :meth:`group_by`: each group's values
+        through the algebra's row reduce."""
         keys = list(keys)
+        out_fields = output_fields(self._schema, keys, aggregates)
         key_idx = [self._schema.index_of(k) for k in keys]
-        # Column index resolution hoisted out of the per-group loop.
-        agg_specs = []
-        for fn, col, out in aggregates:
-            if fn not in _AGGREGATES:
-                raise SchemaError(
-                    f"unknown aggregate {fn!r}; options: {sorted(_AGGREGATES)}"
-                )
-            agg_specs.append(
-                (fn, self._schema.index_of(col), self._schema.dtype_of(col))
-            )
-        out_fields = self._group_fields(keys, aggregates)
         cols = [c.to_pylist() for c in self._columns]
+        specs = []
+        for name, col, _out in aggregates:
+            fn = lookup(name)
+            specs.append((fn, cols[self._schema.index_of(col)]
+                          if fn.takes_column else None))
 
         groups: dict[Row, list[int]] = {}
-        order: list[Row] = []
         for i in range(self._num_rows):
-            key = tuple(cols[k][i] for k in key_idx)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(i)
+            groups.setdefault(tuple(cols[k][i] for k in key_idx), []).append(i)
 
         out_rows = []
-        for key in order:
+        for key, rows in groups.items():
             row: list[Any] = list(key)
-            for fn, j, dtype in agg_specs:
-                values = [
-                    cols[j][i] for i in groups[key] if cols[j][i] is not None
-                ]
-                result = _AGGREGATES[fn](values)
-                if fn == "sum" and result is not None and dtype == "int":
-                    result = int(result)
-                row.append(result)
+            for fn, values in specs:
+                row.append(fn.reduce(rows if values is None
+                                     else [values[i] for i in rows]))
             out_rows.append(tuple(row))
         return Table.from_rows(out_rows, schema=Schema(out_fields))
-
-    def _group_fields(
-        self, keys: list[str],
-        aggregates: Sequence[tuple[str, str, str]],
-    ) -> list[Field]:
-        out_fields = [self._schema.field(k) for k in keys]
-        for fn, col, out in aggregates:
-            if fn == "count":
-                dtype = "int"
-            elif fn in ("sum", "min", "max"):
-                dtype = self._schema.dtype_of(col)
-            else:
-                dtype = "float"
-            out_fields.append(Field(out, dtype))
-        return out_fields
 
     def sample(self, n: int, rng) -> "Table":
         """Take ``n`` rows uniformly without replacement using ``rng``
@@ -924,7 +887,7 @@ def _factorize_key_pairs(
 def segment_group_by(
     table: Table,
     keys: Sequence[str],
-    aggregates: Sequence[tuple[str, str, str]],
+    aggregates: Sequence[tuple[str, str | None, str]],
     *,
     codes: np.ndarray | None = None,
     order: np.ndarray | None = None,
@@ -943,16 +906,8 @@ def segment_group_by(
     with timed("table.group_by.seconds", span_name="table.group_by") as s:
         keys = list(keys)
         schema = table.schema
+        out_fields = output_fields(schema, keys, aggregates)
         key_idx = [schema.index_of(k) for k in keys]
-        agg_specs = []
-        for fn, col, out in aggregates:
-            if fn not in _AGGREGATES:
-                raise SchemaError(
-                    f"unknown aggregate {fn!r}; "
-                    f"options: {sorted(_AGGREGATES)}"
-                )
-            agg_specs.append((fn, schema.index_of(col), col, out))
-        out_fields = table._group_fields(keys, aggregates)
 
         columns = table.columns()
         n = table.num_rows
@@ -976,76 +931,23 @@ def segment_group_by(
         starts = np.flatnonzero(
             np.r_[True, sorted_gids[1:] != sorted_gids[:-1]]
         )
-        num_groups = len(starts)
         first_idx = order[starts]
         # Output groups in first-appearance order.
         appearance = np.argsort(first_idx, kind="stable")
-        position = np.empty(num_groups, dtype=np.int64)
-        position[appearance] = np.arange(num_groups)
+        groups = Groups(order, sorted_gids, len(starts), appearance)
 
         out_cols = [
             columns[j].take(first_idx[appearance]) for j in key_idx
         ]
-        field_iter = iter(out_fields[len(keys):])
-        for fn, j, _colname, _out in agg_specs:
-            field = next(field_iter)
-            col = columns[j]
-            grouped = _segment_aggregate(fn, col, sorted_gids, order,
-                                         num_groups, position)
-            coerced = [None if v is None else coerce(v, field.dtype)
-                       for v in grouped]
-            out_cols.append(Column.build(coerced, field.dtype))
+        for name, col, _out in aggregates:
+            fn = lookup(name)
+            out_cols.append(fn.segment(
+                columns[schema.index_of(col)] if fn.takes_column else None,
+                groups))
         out = Table._trusted(Schema(out_fields), tuple(out_cols),
-                             num_rows=num_groups)
+                             num_rows=groups.num_groups)
         metrics.counter("table.rows_scanned").inc(n)
-        s.set(rows_in=n, groups=num_groups)
-    return out
-
-
-def _segment_aggregate(fn: str, col: Column, sorted_gids: np.ndarray,
-                       order: np.ndarray, num_groups: int,
-                       position: np.ndarray) -> list[Any]:
-    """One aggregate over all groups at once (null-skipping).
-
-    ``order`` is the shared stable row permutation sorting rows by group id
-    and ``sorted_gids`` the group ids in that order; ``position`` maps group
-    id -> output row.  Returns python values in output order (``None`` where
-    a group has no non-null input), which the caller coerces to the declared
-    output dtype — mirroring the per-cell coercion the row-at-a-time
-    reference applies via ``from_rows``.
-    """
-    valid = ~col.mask[order]
-    gids = sorted_gids[valid]
-    counts = np.bincount(gids, minlength=num_groups)
-    if fn == "count":
-        return counts[np.argsort(position, kind="stable")].tolist()
-
-    out: list[Any] = [None] * num_groups
-    if not len(gids):
-        return out
-    sorted_vals = col.values[order[valid]]
-    starts = np.flatnonzero(np.r_[True, gids[1:] != gids[:-1]])
-    present = gids[starts]
-    if fn in ("sum", "avg") and sorted_vals.dtype == np.float64:
-        # bincount accumulates sequentially in scan order — with the stable
-        # group sort that is original row order per group, so float sums are
-        # bit-identical to the reference's left-to-right ``sum()``.
-        sums = np.bincount(gids, weights=sorted_vals, minlength=num_groups)
-        reduced = sums[present]
-        if fn == "avg":
-            reduced = reduced / counts[present]
-    elif fn in ("sum", "avg"):
-        reduced = np.add.reduceat(sorted_vals, starts)
-        if fn == "avg":
-            reduced = reduced / counts[present]
-    elif fn == "min":
-        reduced = np.minimum.reduceat(sorted_vals, starts)
-    else:
-        reduced = np.maximum.reduceat(sorted_vals, starts)
-    reduced_list = (reduced.tolist() if isinstance(reduced, np.ndarray)
-                    else list(reduced))
-    for gid, value in zip(present.tolist(), reduced_list):
-        out[position[gid]] = value
+        s.set(rows_in=n, groups=groups.num_groups)
     return out
 
 

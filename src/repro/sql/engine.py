@@ -26,7 +26,6 @@ from repro.sql.ast import Query
 from repro.sql.expr import (
     aggregate_rows,
     default_name,
-    eval_row,
     has_aggregate,
     project_items,
     where_mask,
@@ -271,8 +270,9 @@ class Database:
         use_optimizer = self._optimizer if optimizer is None else optimizer
         lines = [f"sql: {sql.strip()}"]
         physical = None
+        # The planner's checks reject a query on either engine.
+        logical = plan_ir.compile_query(query, self)
         if use_optimizer:
-            logical = plan_ir.compile_query(query, self)
             optimized, notes = optimize(logical, self,
                                         view_keys=self._view_keys or None)
             physical = bind(optimized, self, self.pmap)
@@ -300,7 +300,7 @@ class Database:
         lines.append("plan (analyzed):")
         for entry in plan:
             parts = [f"{entry['stage']}"]
-            for key in ("table", "on", "vectorized", "index", "by",
+            for key in ("table", "on", "index", "by",
                         "columns", "limit"):
                 if key in entry:
                     parts.append(f"{key}={entry[key]}")
@@ -368,7 +368,9 @@ def execute(query: Query, db: Database,
 def execute_naive(query: Query, db: Database,
                   plan: list[dict[str, Any]] | None = None) -> Table:
     """The historic fixed-order AST interpreter (join → where → aggregate
-    → project), kept verbatim as the optimizer's equivalence oracle."""
+    → project), kept as the optimizer's equivalence oracle: WHERE and
+    projections run through ``eval_vec``, GROUP BY through the row
+    oracle ``aggregate_rows``."""
 
     def record(stage: str, span: Any, rows_in: int, rows_out: int,
                **extra: Any) -> None:
@@ -395,17 +397,10 @@ def execute_naive(query: Query, db: Database,
     if query.where is not None:
         rows_in = table.num_rows
         with tracing.span("sql.where") as s:
-            keep = where_mask(query.where, table)
-            if keep is None:             # opaque expression — row fallback
-                table = table.select(
-                    lambda row: bool(eval_row(query.where, row))
-                )
-            else:
-                table = table.filter(keep)
+            table = table.filter(where_mask(query.where, table))
             selectivity = table.num_rows / rows_in if rows_in else None
-            s.set(rows_out=table.num_rows, vectorized=keep is not None)
-        record("where", s, rows_in, table.num_rows,
-               selectivity=selectivity, vectorized=keep is not None)
+            s.set(rows_out=table.num_rows)
+        record("where", s, rows_in, table.num_rows, selectivity=selectivity)
     if query.group_by or _has_aggregate(query):
         rows_in = table.num_rows
         with tracing.span("sql.aggregate") as s:

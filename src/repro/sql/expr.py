@@ -1,18 +1,22 @@
-"""Expression evaluation for the SQL engine — row-wise and vectorized.
+"""Expression evaluation for the SQL engine — vectorized, with a row oracle.
 
 Semantics follow SQL where it matters for the library: three-valued
 logic (a comparison or arithmetic with a NULL operand is NULL, ``NOT
 NULL`` is NULL, ``AND``/``OR`` are Kleene's), a WHERE clause keeps only
 TRUE rows, aggregates skip NULLs, COUNT(*) counts rows.
 
-:func:`eval_vec` mirrors :func:`eval_row` over whole columns: every
-parser-produced AST node evaluates against the table's numpy column
-arrays and null masks in one shot.  An expression evaluates to
-``(values, mask)`` where ``values`` is a numpy array of length num_rows
-(or a python scalar for literal-only subtrees) and ``mask`` marks NULL
-results (``None`` = no nulls).  Returning ``None`` from :func:`eval_vec`
-means "this node cannot be vectorized" and sends the caller down the
-row-at-a-time path.
+:func:`eval_vec` is how the engine runs an expression: every node the
+planner admits evaluates against the table's numpy column arrays and
+null masks in one shot, to ``(values, mask)`` where ``values`` is a
+numpy array of length num_rows (or a python scalar for literal-only
+subtrees) and ``mask`` marks NULL results (``None`` = no nulls).  The
+planner admits an aggregate call only as a top-level SELECT item of an
+aggregate query (:func:`check_row_expr`, :class:`AggregateItems`), so a
+misplaced one is a :class:`~repro.errors.ParseError` before anything
+runs.  An expression's dtype is what :func:`eval_vec` yields over the
+input schema (:func:`expr_dtype`), never a guess from the rows.
+:func:`eval_row` and :func:`aggregate_rows` are the row-at-a-time
+oracle behind ``execute_naive`` and the optimizer's constant folding.
 
 This module is the shared bottom layer of the SQL stack: the logical
 plan (:mod:`repro.sql.plan`), the optimizer (:mod:`repro.sql.optimizer`),
@@ -47,10 +51,12 @@ __all__ = [
     "WhereMask",
     "aggregate_of",
     "aggregate_rows",
+    "check_row_expr",
     "default_name",
     "eval_row",
     "eval_vec",
     "expr_columns",
+    "expr_dtype",
     "has_aggregate",
     "project_column",
     "project_items",
@@ -142,6 +148,34 @@ def has_aggregate(items: list[SelectItem]) -> bool:
     return any(isinstance(item.expr, FuncCall) for item in items)
 
 
+def _aggregate_in(expr: Expr | str) -> FuncCall | None:
+    """The first aggregate call anywhere in ``expr``, or None."""
+    if isinstance(expr, FuncCall):
+        return expr
+    if isinstance(expr, BinaryOp):
+        return _aggregate_in(expr.left) or _aggregate_in(expr.right)
+    if isinstance(expr, UnaryOp):
+        return _aggregate_in(expr.operand)
+    return None
+
+
+def _misplaced(call: FuncCall) -> ParseError:
+    return ParseError(f"aggregate {render_expr(call)} is allowed only as a "
+                      f"top-level SELECT item of an aggregate query")
+
+
+def check_row_expr(expr: Expr, names) -> None:
+    """Reject, at plan time, a row expression :func:`eval_vec` cannot
+    evaluate over columns ``names``: :class:`ParseError` for an aggregate
+    call in it, :class:`SchemaError` for an unknown column."""
+    call = _aggregate_in(expr)
+    if call is not None:
+        raise _misplaced(call)
+    missing = expr_columns(expr) - set(names)
+    if missing:
+        raise SchemaError(f"no column {min(missing)!r} in row")
+
+
 # -- row-at-a-time evaluation --------------------------------------------------
 
 
@@ -216,18 +250,27 @@ def aggregate_of(call: FuncCall) -> AggregateFunction:
 
 
 class AggregateItems:
-    """A GROUP BY SELECT list as group-by ``specs`` (a computed argument
-    reads helper column ``__arg<i>``, listed in ``computed``) and, per
-    item, the grouped column or :class:`Literal` it outputs under its
-    name; shared by the row oracle, the planner and the view compiler."""
+    """An aggregate query's SELECT list over input ``schema``, as group-by
+    ``specs`` (a computed argument reads helper column ``__arg<i>``,
+    listed in ``computed``) and, per item, the grouped column or
+    :class:`Literal` it outputs under its name; shared by the row oracle,
+    the planner and the view compiler.
 
-    __slots__ = ("specs", "computed", "outputs")
+    Construction is the plan-time check: an item must be a GROUP BY
+    column, a literal or an aggregate over a row expression
+    (:class:`ParseError` otherwise); each key must exist and each
+    aggregate accept its argument's dtype (:class:`SchemaError`)."""
+
+    __slots__ = ("group_by", "specs", "computed", "outputs")
 
     def __init__(self, items: list[SelectItem], group_by: list[str],
                  schema: Schema):
+        self.group_by = group_by
         self.specs: list[tuple[str, str | None, str]] = []
         self.computed: list[tuple[str, Expr]] = []
         self.outputs: list[tuple[str | Literal, str]] = []
+        for key in group_by:
+            schema.field(key)            # SchemaError for an unknown key
         for i, item in enumerate(items):
             expr = item.expr
             if isinstance(expr, ColumnRef):
@@ -241,10 +284,15 @@ class AggregateItems:
                 fn = aggregate_of(expr)
                 arg = expr.argument if fn.takes_column else None
                 if isinstance(arg, ColumnRef) and arg.name in schema:
-                    arg = arg.name
+                    arg, dtype = arg.name, schema.dtype_of(arg.name)
                 elif arg is not None:
+                    check_row_expr(arg, schema.names)
+                    dtype = expr_dtype(arg, schema)
                     self.computed.append((f"__arg{i}", arg))
                     arg = f"__arg{i}"
+                if arg is not None and not fn.accepts(dtype):
+                    raise SchemaError(f"{render_expr(expr)}: {fn.name} does "
+                                      f"not accept a {dtype} argument")
                 source = f"__agg{i}"
                 self.specs.append((fn.name, arg, source))
             else:
@@ -252,28 +300,24 @@ class AggregateItems:
                     "unsupported expression in aggregate SELECT list")
             self.outputs.append((source, item.alias or default_name(expr)))
 
-    def arguments(self, table: Table, column_of) -> Table | None:
+    def arguments(self, table: Table, column_of) -> Table:
         """``table`` plus the computed argument columns, each built by
-        ``column_of(expr, table)`` (None when one cannot be built)."""
+        ``column_of(expr, table)``."""
         fields = [(f.name, f.dtype) for f in table.schema]
         columns = list(table.columns())
         for name, expr in self.computed:
             col = column_of(expr, table)
-            if col is None:
-                return None
             fields.append((name, col.dtype))
             columns.append(col)
         return Table.from_columns(Schema(fields), columns)
 
-    def accepts(self, schema: Schema) -> bool:
-        """Whether each aggregate takes its argument's dtype in
-        ``schema`` (arguments not built yet pass)."""
-        return all(col not in schema
-                   or AGGREGATES[fn].accepts(schema.dtype_of(col))
-                   for fn, col, _slot in self.specs if col is not None)
-
     def finish(self, grouped: Table) -> Table:
-        """The grouped output in SELECT order, under the items' names."""
+        """The grouped output in SELECT order, under the items' names.  A
+        global aggregate over no rows is still one row (COUNT = 0)."""
+        if not self.group_by and not grouped.num_rows:
+            grouped = Table.from_rows(
+                [tuple(AGGREGATES[fn].reduce([]) for fn, _c, _s in self.specs)],
+                schema=grouped.schema)
         fields, columns = [], []
         for source, name in self.outputs:
             if isinstance(source, Literal):
@@ -287,10 +331,10 @@ class AggregateItems:
 
 
 def _row_column(expr: Expr, table: Table) -> Column:
-    """``expr`` evaluated row by row, its dtype inferred from the values."""
-    values = [eval_row(expr, row) for row in table.row_dicts()]
-    dtype = infer_dtype(values)
-    return Column.build([coerce(v, dtype) for v in values], dtype)
+    """``expr`` evaluated row by row, typed by :func:`expr_dtype`."""
+    dtype = expr_dtype(expr, table.schema)
+    return Column.build([coerce(eval_row(expr, row), dtype)
+                         for row in table.row_dicts()], dtype)
 
 
 def aggregate_rows(items: list[SelectItem], group_by: list[str],
@@ -299,57 +343,29 @@ def aggregate_rows(items: list[SelectItem], group_by: list[str],
     row by row, and :meth:`Table.group_by_reference` reduces each group
     with the aggregate algebra's row reduce."""
     plan = AggregateItems(items, group_by, table.schema)
-    work = plan.arguments(table, _row_column)
-    grouped = work.group_by_reference(group_by, plan.specs)
-    if not group_by and not grouped.num_rows:
-        # A global aggregate over no rows is still one row (COUNT = 0).
-        grouped = Table.from_rows(
-            [tuple(AGGREGATES[fn].reduce([]) for fn, _c, _s in plan.specs)],
-            schema=grouped.schema)
-    return plan.finish(grouped)
+    return plan.finish(plan.arguments(table, _row_column)
+                       .group_by_reference(group_by, plan.specs))
 
 
 # -- projection ---------------------------------------------------------------
 
 
 def project_items(items: list[SelectItem], table: Table) -> Table:
-    names = [item.alias or default_name(item.expr) for item in items]
-    if table.num_rows == 0:
-        # Infer dtypes from source schema where possible.
-        fields = []
-        for item, name in zip(items, names):
-            dtype = (
-                table.schema.dtype_of(item.expr.name)
-                if isinstance(item.expr, ColumnRef) and item.expr.name in table.schema
-                else "str"
-            )
-            fields.append((name, dtype))
-        return Table.empty(fields)
-    columns = []
-    for item in items:
-        col = project_column(item.expr, table)
-        if col is None:                  # opaque expression — row fallback
-            return _project_rows(items, names, table)
-        columns.append(col)
-    schema = Schema(
-        (name, col.dtype) for name, col in zip(names, columns)
-    )
+    columns = [project_column(item.expr, table) for item in items]
+    schema = Schema((item.alias or default_name(item.expr), col.dtype)
+                    for item, col in zip(items, columns))
     return Table.from_columns(schema, columns)
 
 
-def project_column(expr: Expr, table: Table) -> Column | None:
-    """One SELECT item as a trusted :class:`Column`, or None if opaque.
+def project_column(expr: Expr, table: Table) -> Column:
+    """One SELECT item as a trusted :class:`Column`.
 
-    Dtype rules: a source column keeps its dtype (NULLs or not, as on an
-    empty input and in the optimizer's zero-copy projection); an all-null
-    computed result degrades to ``str`` (what :func:`infer_dtype` does
-    with no evidence); other computed expressions take the numpy result
-    dtype.
+    Its dtype depends on the schema alone: a source column keeps its
+    dtype, a computed expression takes the numpy result dtype (an object
+    result is ``str``), so empty inputs and all-NULL operands type it
+    exactly as any other rows do.
     """
-    out = eval_vec(expr, table)
-    if out is None:
-        return None
-    values, mask = out
+    values, mask = eval_vec(expr, table)
     n = table.num_rows
     if not isinstance(values, np.ndarray):     # scalar expression: broadcast
         if values is None:
@@ -362,11 +378,8 @@ def project_column(expr: Expr, table: Table) -> Column | None:
             )
     if mask is None:
         mask = np.zeros(n, dtype=bool)
-    if isinstance(expr, ColumnRef) and expr.name in table.schema:
+    if isinstance(expr, ColumnRef):
         return Column(table.schema.dtype_of(expr.name), values, mask)
-    if mask.all():
-        return Column("str", np.full(n, None, dtype=object),
-                      np.ones(n, dtype=bool))
     if values.dtype == np.bool_:
         dtype = "bool"
     elif np.issubdtype(values.dtype, np.integer):
@@ -377,40 +390,30 @@ def project_column(expr: Expr, table: Table) -> Column | None:
         pylist = values.tolist()
         for i in np.flatnonzero(mask).tolist():
             pylist[i] = None
-        dtype = infer_dtype(pylist)
-        return Column.build(pylist, dtype)
+        return Column.build(pylist, "str")
     return Column(dtype, values, mask)
 
 
-def _project_rows(items: list[SelectItem], names: list[str],
-                  table: Table) -> Table:
-    """Row-at-a-time projection fallback for opaque expressions."""
-    rows = [
-        tuple(eval_row(item.expr, row) for item in items)
-        for row in table.row_dicts()
-    ]
-    return Table.from_rows(rows, names=names)
+def expr_dtype(expr: Expr, schema: Schema) -> str:
+    """The dtype :func:`project_column` gives ``expr`` over any table of
+    ``schema`` (read off an empty one)."""
+    return project_column(expr, Table.empty(schema)).dtype
 
 
 # -- vectorized evaluation -----------------------------------------------------
 
 
-def where_mask(expr: Expr, table: Table) -> np.ndarray | None:
+def where_mask(expr: Expr, table: Table) -> np.ndarray:
     """WHERE clause as a boolean keep-mask (TRUE rows only; FALSE and NULL
-    drop), or None for opaque expressions."""
-    out = eval_vec(expr, table)
-    if out is None:
-        return None
-    return _logic(*out, table.num_rows)[0]
+    drop)."""
+    return _logic(*eval_vec(expr, table), table.num_rows)[0]
 
 
 class WhereMask:
     """:func:`where_mask` bound to one expression: the ``Table -> keep
     mask`` callable that shard filters, IVM filter nodes and dlt
     expectations run.  Picklable (the AST is frozen dataclasses all the
-    way down), so it rides into forked shard workers.  Callers decide
-    vectorizability once, up front; a table that makes the expression
-    opaque afterwards raises."""
+    way down), so it rides into forked shard workers."""
 
     __slots__ = ("expr",)
 
@@ -418,13 +421,7 @@ class WhereMask:
         self.expr = expr
 
     def __call__(self, table: Table) -> np.ndarray:
-        mask = where_mask(self.expr, table)
-        if mask is None:
-            raise SchemaError(
-                f"predicate {render_expr(self.expr)} stopped being "
-                f"vectorizable"
-            )
-        return mask
+        return where_mask(self.expr, table)
 
 
 def _bools(values: Any, n: int) -> np.ndarray:
@@ -466,8 +463,10 @@ def _combine_masks(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | N
 
 
 def eval_vec(expr: Expr, table: Table):
-    """Boolean results keep False in their NULL slots (the bool column
-    sentinel), so a keep-mask is ``values & ~mask`` at any depth."""
+    """``expr`` over ``table`` as ``(values, mask)``; an aggregate call
+    raises :class:`ParseError`.  Boolean results keep False in their NULL
+    slots (the bool column sentinel), so a keep-mask is ``values & ~mask``
+    at any depth."""
     n = table.num_rows
     if isinstance(expr, Literal):
         return expr.value, None
@@ -477,10 +476,7 @@ def eval_vec(expr: Expr, table: Table):
         mask = table.null_mask(expr.name)
         return table.column_array(expr.name), (mask if mask.any() else None)
     if isinstance(expr, UnaryOp):
-        operand = eval_vec(expr.operand, table)
-        if operand is None:
-            return None
-        values, mask = operand
+        values, mask = eval_vec(expr.operand, table)
         if expr.op == "not":
             true, null = _logic(values, mask, n)
             return (~true if null is None else ~(true | null)), null
@@ -499,8 +495,6 @@ def eval_vec(expr: Expr, table: Table):
     if isinstance(expr, BinaryOp):
         left = eval_vec(expr.left, table)
         right = eval_vec(expr.right, table)
-        if left is None or right is None:
-            return None
         if expr.op in ("and", "or"):
             # Kleene logic: TRUE where both (AND) / either (OR) operand is
             # TRUE; NULL where no operand is decisive and one is NULL.
@@ -560,4 +554,6 @@ def eval_vec(expr: Expr, table: Table):
                 mask = _combine_masks(mask, zmask)
             return res, mask
         raise ParseError(f"unknown binary op {expr.op}")
-    return None
+    if isinstance(expr, FuncCall):
+        raise _misplaced(expr)
+    raise ParseError(f"cannot evaluate {expr!r}")

@@ -6,8 +6,9 @@ backends:
 * **columnar** — the single-table vectorized kernels
   (:meth:`~repro.table.Table.filter` under a compiled mask,
   :meth:`~repro.table.Table.join` with compile-time renames,
-  :meth:`~repro.table.Table.group_by` for simple aggregates) with the
-  row-at-a-time evaluators as fallback for opaque expressions.  A filter
+  :meth:`~repro.table.Table.group_by` over vectorized argument
+  columns).  The planner rejects what they cannot run, so there is no
+  row-at-a-time fallback.  A filter
   straight over a plain table scan with a numeric ``col = literal``
   conjunct binds ``columnar[index]``: it probes the column's key index
   (:meth:`~repro.table.Table.lookup`) and masks only the matched rows.
@@ -37,9 +38,7 @@ from repro.sql.ast import BinaryOp, ColumnRef, Expr, Literal
 from repro.sql.expr import (
     AggregateItems,
     WhereMask,
-    aggregate_rows,
     default_name,
-    eval_row,
     project_column,
     project_items,
     where_mask,
@@ -187,17 +186,15 @@ def _bind_view_scan(node: ViewScan, db) -> PhysicalNode:
 
 def _bind_filter(node: Filter, db, pmap) -> PhysicalNode:
     child = _bind(node.child, db, pmap)
-    schema = output_schema(node.child, db)
-    vectorized = where_mask(node.predicate, Table.empty(schema)) is not None
-    probe = (_index_probe(node.predicate, schema)
-             if vectorized and isinstance(node.child, Scan)
+    probe = (_index_probe(node.predicate, output_schema(node.child, db))
+             if isinstance(node.child, Scan)
              and not db.is_partitioned(node.child.table) else None)
     if probe is not None:
         backend = "columnar[index]"
-    elif db.plan_is_partitioned(node.child) and vectorized:
+    elif db.plan_is_partitioned(node.child):
         backend = "shard"
     else:
-        backend = f"columnar[{'vectorized' if vectorized else 'rows'}]"
+        backend = "columnar[vectorized]"
 
     def run(record):
         source = child.run(record)
@@ -211,23 +208,17 @@ def _bind_filter(node: Filter, db, pmap) -> PhysicalNode:
                 if rest is not None:
                     out = out.filter(where_mask(rest, out))
                 extra["index"] = key
-            elif not isinstance(source, Table) and vectorized:
+            elif not isinstance(source, Table):
                 from repro.shard import kernels as shard_kernels
 
                 out: Any = shard_kernels.filter(
                     source, WhereMask(node.predicate), pmap)
             else:
-                table = _materialize(source)
-                if vectorized:
-                    out = table.filter(where_mask(node.predicate, table))
-                else:
-                    out = table.select(
-                        lambda row: bool(eval_row(node.predicate, row))
-                    )
+                out = source.filter(where_mask(node.predicate, source))
             selectivity = out.num_rows / rows_in if rows_in else None
-            s.set(rows_out=out.num_rows, vectorized=vectorized, **extra)
+            s.set(rows_out=out.num_rows, **extra)
         record("where", s, rows_in, out.num_rows,
-               selectivity=selectivity, vectorized=vectorized, **extra)
+               selectivity=selectivity, **extra)
         return out
 
     return PhysicalNode("where", describe(node), backend, [child], run)
@@ -301,18 +292,14 @@ def _bind_join(node: Join, db, pmap) -> PhysicalNode:
 
 def _bind_aggregate(node: Aggregate, db, pmap) -> PhysicalNode:
     child = _bind(node.child, db, pmap)
-    schema = output_schema(node.child, db)
-    plan = AggregateItems(list(node.items), list(node.group_by), schema)
-    simple = plan.accepts(schema)
-    sharded = (simple and not plan.computed
-               and db.plan_partition_keys(node.child) is not None
-               and set(db.plan_partition_keys(node.child))
-               <= set(node.group_by))
-    if sharded:
-        backend = "shard[partition-aligned]"
-    else:
-        backend = "columnar[group_by]" if simple else "columnar[rows]"
-    by = ",".join(node.group_by) or "<all>"
+    group_by = list(node.group_by)
+    plan = AggregateItems(list(node.items), group_by,
+                          output_schema(node.child, db))
+    keys = db.plan_partition_keys(node.child)
+    sharded = (not plan.computed and keys is not None
+               and set(keys) <= set(group_by))
+    backend = "shard[partition-aligned]" if sharded else "columnar[group_by]"
+    by = ",".join(group_by) or "<all>"
 
     def run(record):
         source = child.run(record)
@@ -322,32 +309,18 @@ def _bind_aggregate(node: Aggregate, db, pmap) -> PhysicalNode:
                     and source.num_rows > 0):
                 from repro.shard import kernels as shard_kernels
 
-                out = plan.finish(shard_kernels.group_by(
-                    source, list(node.group_by), plan.specs, pmap))
-                vectorized = True
+                grouped = shard_kernels.group_by(source, group_by,
+                                                 plan.specs, pmap)
             else:
-                out, vectorized = _run_aggregate(node, plan,
-                                                 _materialize(source))
+                grouped = plan.arguments(
+                    _materialize(source), project_column
+                ).group_by(group_by, plan.specs)
+            out = plan.finish(grouped)
             s.set(rows_out=out.num_rows)
-        record("aggregate", s, rows_in, out.num_rows, by=by,
-               vectorized=vectorized)
+        record("aggregate", s, rows_in, out.num_rows, by=by)
         return out
 
     return PhysicalNode("aggregate", describe(node), backend, [child], run)
-
-
-def _run_aggregate(node: Aggregate, plan: AggregateItems,
-                   table: Table) -> tuple[Table, bool]:
-    """The vectorized ``Table.group_by`` when every argument column builds
-    vectorized and is accepted, else the row oracle."""
-    group_by = list(node.group_by)
-    # Global aggregate over zero rows still emits one row (COUNT = 0):
-    # only the row oracle produces it.
-    work = (plan.arguments(table, project_column)
-            if table.num_rows or group_by else None)
-    if work is None or not plan.accepts(work.schema):
-        return aggregate_rows(list(node.items), group_by, table), False
-    return plan.finish(work.group_by(group_by, plan.specs)), True
 
 
 # -- sort / project / limit ---------------------------------------------------

@@ -27,11 +27,14 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import SchemaError
-from repro.sql.ast import ColumnRef, Expr, FuncCall, Query, SelectItem
+from repro.sql.ast import Expr, Query, SelectItem
 from repro.sql.expr import (
     AggregateItems,
+    check_row_expr,
     default_name,
     expr_columns,
+    expr_dtype,
+    has_aggregate,
     render_expr,
 )
 from repro.table.schema import Schema
@@ -126,7 +129,11 @@ def compile_query(query: Query, catalog) -> Node:
 
     ``catalog`` needs one method: ``schema_of(name) -> Schema`` (the
     :class:`~repro.sql.engine.Database` provides it for tables, streams,
-    and views alike).
+    and views alike).  Everything the executors cannot run is rejected
+    here, before any row is read: an aggregate call outside a top-level
+    SELECT item of an aggregate query (:class:`ParseError`), an unknown
+    column, or an aggregate over a dtype it does not accept
+    (:class:`SchemaError`).
     """
     node: Node = Scan(query.table)
     names = list(catalog.schema_of(query.table).names)
@@ -145,11 +152,11 @@ def compile_query(query: Query, catalog) -> Node:
                     join.left_col, join.right_col, tuple(renames))
         names += [out for _, out in renames]
     if query.where is not None:
+        check_row_expr(query.where, names)
         node = Filter(node, query.where)
-    if query.group_by or any(isinstance(i.expr, FuncCall) for i in query.select):
-        # The row oracle's SELECT-list checks, at plan time, so they
-        # surface even on empty inputs.
-        AggregateItems(list(query.select), list(query.group_by), Schema([]))
+    if query.group_by or has_aggregate(query.select):
+        AggregateItems(list(query.select), list(query.group_by),
+                       output_schema(node, catalog))
         node = Aggregate(node, tuple(query.group_by), tuple(query.select))
         if query.order_by is not None:
             node = Sort(node, *query.order_by)
@@ -157,6 +164,8 @@ def compile_query(query: Query, catalog) -> Node:
         if query.order_by is not None:
             node = Sort(node, *query.order_by)
         if not query.select_star:
+            for item in query.select:
+                check_row_expr(item.expr, names)
             node = Project(node, tuple(query.select))
     if query.limit is not None:
         node = Limit(node, query.limit)
@@ -186,10 +195,9 @@ def output_names(node: Node, catalog) -> list[str]:
 
 
 def output_schema(node: Node, catalog) -> Schema:
-    """Typed output schema for the node subset whose dtypes are derivable
-    without evaluating expressions (scans, joins, filters, sort/limit, and
-    plain-column projections) — what the view compiler needs to probe
-    vectorizability against an empty table."""
+    """Typed output schema of every node below an aggregate (scans,
+    joins, filters, sort/limit and projections): expression dtypes come
+    from the input schema (:func:`~repro.sql.expr.expr_dtype`)."""
     if isinstance(node, Scan):
         schema = catalog.schema_of(node.table)
         if node.columns is None:
@@ -209,15 +217,8 @@ def output_schema(node: Node, catalog) -> Schema:
         return Schema(fields)
     if isinstance(node, Project):
         child = output_schema(node.child, catalog)
-        fields = []
-        for item in node.items:
-            if not isinstance(item.expr, ColumnRef):
-                raise SchemaError(
-                    "output_schema: computed projection has no static dtype"
-                )
-            fields.append((item.alias or item.expr.name,
-                           child.dtype_of(item.expr.name)))
-        return Schema(fields)
+        return Schema((item.alias or default_name(item.expr),
+                       expr_dtype(item.expr, child)) for item in node.items)
     raise SchemaError(f"output_schema: unsupported node {type(node).__name__}")
 
 

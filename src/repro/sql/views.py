@@ -17,7 +17,7 @@ Supported subset (anything else raises :class:`~repro.errors.IvmError`
 at ``create_view`` time, never at push time):
 
 * FROM / INNER JOIN over registered streams only
-* WHERE clauses the vectorized evaluator accepts (no aggregates)
+* any WHERE clause the planner admits (no aggregates)
 * SELECT of plain columns (with aliases), or GROUP BY with
   count/sum/min/max/avg/COUNT(*) over plain columns — global aggregates
   without GROUP BY are rejected (an empty incremental group cannot emit
@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.errors import IvmError, ParseError
 from repro.ivm import MaterializedView, StreamTable, ViewBuilder
 from repro.sql.ast import ColumnRef, Literal, Query
-from repro.sql.expr import AggregateItems, WhereMask, where_mask
+from repro.sql.expr import AggregateItems, WhereMask
 from repro.sql.plan import (
     Aggregate,
     Filter,
@@ -48,7 +48,6 @@ from repro.sql.plan import (
     describe,
     output_schema,
 )
-from repro.table import Table
 
 
 class _StreamCatalog:
@@ -121,16 +120,9 @@ def _compile_node(name: str, node: Node, streams: dict[str, StreamTable],
         return builder.join(streams[node.table],
                             on=[(node.left_col, node.right_col)])
     if isinstance(node, Filter):
+        # compile_query already rejected aggregates and unknown columns
+        # in the predicate, before any state exists.
         builder = _compile_node(name, node.child, streams, catalog)
-        # Vectorizability is structural (no aggregate nodes), so probing
-        # the empty input schema decides it once, at creation — and
-        # surfaces unknown-column errors before any state exists.
-        probe = Table.empty(output_schema(node.child, catalog))
-        if where_mask(node.predicate, probe) is None:
-            raise IvmError(
-                f"view {name!r}: WHERE clause is not vectorizable; "
-                f"materialized views require vectorized predicates"
-            )
         return builder.filter(WhereMask(node.predicate))
     if isinstance(node, Aggregate):
         builder = _compile_node(name, node.child, streams, catalog)

@@ -50,6 +50,9 @@ NUMPY_DTYPES: dict[str, Any] = {
     "str": object,
 }
 
+#: the NaN every :meth:`Column.to_pylist` returns.
+NAN = float("nan")
+
 #: logical dtype -> the value stored in masked (null) slots.
 SENTINELS: dict[str, Any] = {
     "int": 0,
@@ -158,8 +161,15 @@ class Column:
         return v.item() if isinstance(v, np.generic) else v
 
     def to_pylist(self) -> list[Any]:
-        """The whole column as python values with ``None`` nulls."""
+        """The whole column as python values with ``None`` nulls.  Every
+        NaN is the one :data:`NAN` object, so python-keyed state (dicts,
+        tuples) matches NaN to NaN by identity, as the numpy kernels'
+        factorized codes do."""
         out = self.values.tolist()
+        if self.dtype == "float":
+            nan = np.isnan(self.values) & ~self.mask
+            for i in np.flatnonzero(nan).tolist():
+                out[i] = NAN
         if self.mask.any():
             for i in np.flatnonzero(self.mask).tolist():
                 out[i] = None

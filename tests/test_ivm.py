@@ -556,3 +556,47 @@ class TestTableDeltaFastPaths:
         t = make_orders()
         rebuilt = Table.from_columns(t.schema, t.columns())
         assert rows_of(rebuilt) == rows_of(t)
+
+
+class TestNanKeys:
+    """A NaN key is one key on every engine: the numpy kernels, their
+    row twins, SQL, incremental views and stream deletes all match NaN
+    to NaN, whatever the delta size."""
+
+    @pytest.mark.parametrize("delta", [2, 300])
+    def test_nan_is_one_key_on_every_engine(self, delta):
+        nan = float("nan")
+        schema = Schema([("k", "float"), ("x", "int")])
+        rows = [(nan if i % 3 < 2 else 1.0, i) for i in range(300)]
+        table = Table.from_rows(rows, schema=schema)
+        right = Table.from_rows([(nan, 10), (1.0, 20)],
+                                schema=Schema([("k", "float"),
+                                               ("y", "int")]))
+        specs = [("sum", "x", "s"), ("count_star", None, "n")]
+        on = [("k", "k")]
+
+        db = Database()
+        live = db.register_stream("t", schema)
+        db.register_stream("r", right)
+        grouped = db.create_view(
+            "g", "select k, sum(x) as s, count(*) as n from t group by k")
+        joined = db.create_view("j", "select k, x, y from t join r on k = k")
+        for start in range(0, len(rows), delta):
+            live.insert_rows(rows[start:start + delta])
+        live.delete_rows([(float("nan"), 0), (float("nan"), 1)])
+
+        table = live.snapshot()
+        assert table.num_rows == 298
+        groups = table.group_by(["k"], specs)
+        assert groups.num_rows == 2
+        assert bag(table.group_by_reference(["k"], specs)) == bag(groups)
+        assert bag(grouped.table()) == bag(groups)
+
+        pairs = table.join(right, on=on)
+        assert pairs.num_rows == 298
+        assert bag(table.join_reference(right, on=on)) == bag(pairs)
+        assert bag(joined.table()) == bag(pairs)
+        sql = Database({"t": table, "r": right})
+        for optimizer in (True, False):
+            assert bag(sql.query("select k, x, y from t join r on k = k",
+                                 optimizer=optimizer)) == bag(pairs)

@@ -17,7 +17,8 @@ import pytest
 from repro.sql import Database, compile_query, optimize, parse_sql, plan_key
 from repro.sql.ast import BinaryOp, ColumnRef, Literal, SelectItem
 from repro.sql.plan import Aggregate, Filter, Join, Project, Scan, render_plan
-from repro.table import Table
+from repro.errors import IvmError, ParseError, SchemaError
+from repro.table import Schema, Table
 
 
 def rows_of(table):
@@ -211,7 +212,7 @@ class TestVectorizedAggregation:
         text = db.explain(
             "select status, sum(amount) as s from orders group by status",
             analyze=True)
-        assert "aggregate vectorized=True" in text
+        assert "aggregate by status [status, s] [columnar[group_by]]" in text
 
     def test_first_appearance_group_order_preserved(self):
         db = make_db()
@@ -712,10 +713,11 @@ def _sqlite_text(sql: str) -> str:
 
 
 class TestAggregateOracle:
-    """``_random_query``'s GROUP BY draws through every aggregate engine —
-    naive SQL, optimized SQL, ``orders`` partitioned on ``cust`` at 1, 2
-    and 7 shards, and a SQL-compiled incremental view fed random inserts
-    and deletes — each compared as a bag with stdlib ``sqlite3``."""
+    """``_random_query``'s draws without LIMIT through naive SQL,
+    optimized SQL and ``orders`` partitioned on ``cust`` at 1, 2 and 7
+    shards, and its GROUP BY draws through a SQL-compiled incremental
+    view fed random inserts and deletes too — each compared as a bag with
+    stdlib ``sqlite3``."""
 
     @staticmethod
     def _order_rows(rng: random.Random, n: int, start: int) -> list[tuple]:
@@ -729,12 +731,13 @@ class TestAggregateOracle:
         rng = random.Random(seed)
         tables = _random_tables(rng, 60 + rng.randrange(60))
         draws = [sql for sql in (_random_query(rng) for _ in range(25))
-                 if " group by " in sql and " limit " not in sql]
+                 if " limit " not in sql]
+        grouped = [sql for sql in draws if " group by " in sql]
         live = Database()
         streams = {name: live.register_stream(name, table)
                    for name, table in tables.items()}
         views = [live.create_view(f"v{i}", sql)
-                 for i, sql in enumerate(draws)]
+                 for i, sql in enumerate(grouped)]
         # Deltas below and above the incremental group-by's bulk-fold
         # threshold, deleting rows the earlier batches inserted too.
         orders = streams["orders"]
@@ -753,10 +756,76 @@ class TestAggregateOracle:
         sharded = [Database({**final, "orders": PartitionedTable.partition(
             final["orders"], keys=["cust"], num_shards=k)})
             for k in (1, 2, 7)]
-        for sql, view in zip(draws, views):
-            lite = Counter(conn.execute(_sqlite_text(sql)).fetchall())
-            assert Counter(rows_of(db.query(sql, optimizer=False))) == lite, sql
+        for sql in draws:
+            naive = db.query(sql, optimizer=False)
+            # Spell ``*`` out as our output columns: joins drop the
+            # duplicate key, sqlite keeps it.
+            lite_sql = sql.replace(
+                "select *", "select " + ", ".join(naive.schema.names), 1)
+            lite = Counter(conn.execute(_sqlite_text(lite_sql)).fetchall())
+            assert Counter(rows_of(naive)) == lite, sql
             assert Counter(rows_of(db.query(sql))) == lite, sql
             for each in sharded:
                 assert Counter(rows_of(each.query(sql))) == lite, sql
+        for sql, view in zip(grouped, views):
+            lite = Counter(conn.execute(_sqlite_text(sql)).fetchall())
             assert Counter(rows_of(view.table())) == lite, sql
+
+
+# -- plan-time checks and schema-derived dtypes --------------------------------
+
+
+def _typed_table(rows):
+    return Table.from_rows(rows, schema=Schema(
+        [("a", "int"), ("b", "float"), ("s", "str")]))
+
+
+_TYPED_ROWS = [(1, 1.5, "x"), (2, None, "y"), (3, 2.5, None)]
+
+
+class TestPlanTimeChecks:
+    """What the executors cannot run is rejected before any row is read,
+    the same way on every engine and on empty inputs too; an
+    expression's dtype follows from the input schema alone."""
+
+    MISPLACED = ["select * from t where count(a) > 1",
+                 "select a + count(b) from t",
+                 "select sum(count(a)) as x from t"]
+    NOT_NUMERIC = ["select sum(s) as x from t",
+                   "select a, avg(s) as x from t group by a"]
+
+    @pytest.mark.parametrize("rows", [_TYPED_ROWS, []])
+    @pytest.mark.parametrize("sql,error", [(sql, "parse") for sql in MISPLACED]
+                             + [(sql, "schema") for sql in NOT_NUMERIC])
+    def test_rejected_before_running(self, sql, error, rows):
+        expected = ParseError if error == "parse" else SchemaError
+        db = Database({"t": _typed_table(rows)})
+        for optimizer in (True, False):
+            with pytest.raises(expected):
+                db.query(sql, optimizer=optimizer)
+            with pytest.raises(expected):
+                db.explain(sql, optimizer=optimizer)
+        live = Database()
+        live.register_stream("t", _typed_table([]))
+        # The view compiler reports a plan-time ParseError as an IvmError.
+        with pytest.raises(IvmError if error == "parse" else SchemaError) as info:
+            live.create_view("v", sql)
+        if error == "parse":
+            assert isinstance(info.value.__cause__, ParseError)
+        assert live.table_names() == ["t"]
+
+    @pytest.mark.parametrize("rows,where", [
+        (_TYPED_ROWS, "a > 0"),                       # rows survive
+        (_TYPED_ROWS, "a > 9"),                       # none do
+        ([(1, None, "x"), (2, None, None)], "a > 0"),  # every b is NULL
+    ])
+    def test_dtypes_come_from_the_schema(self, rows, where):
+        db = Database({"t": _typed_table(rows)})
+        for sql, dtypes in [
+            (f"select b * 2 as x, a + 1 as y, a > 1 as z, s from t "
+             f"where {where}", ["float", "int", "bool", "str"]),
+            (f"select sum(b * 2) as x from t where {where}", ["float"]),
+        ]:
+            for optimizer in (True, False):
+                schema = db.query(sql, optimizer=optimizer).schema
+                assert [f.dtype for f in schema] == dtypes, (sql, optimizer)

@@ -2,13 +2,18 @@
 :class:`~repro.sql.Database`.
 
 - ``run_batch`` runs each payload through :meth:`Database.query`, so a
-  served query gets the same optimizer and physical backends (columnar,
-  key-index probe, shard kernels, maintained views) as a direct call;
+  served query gets the same optimizer, physical backends (columnar,
+  key-index probe, shard kernels, maintained views) and template plan
+  cache as a direct call;
 - ``cache_key`` is the query's token stream (whitespace and keyword case
   normalized) plus the database's catalog ``version``, so re-registering
   a table retires every cached answer.  A query that reads a stream or a
   view is uncached (``None``): those change without a catalog change.
-  So is text that does not parse; it fails in ``run_batch`` instead;
+  Whether it reads only static tables comes from the database's template
+  plan cache (:meth:`Database.reads_static`), which plans a new template
+  there, so a served static query is parsed at most once per template.
+  Text that does not parse or plan is uncached too; it fails in
+  ``run_batch`` instead;
 - ``fallback`` is the degraded tier: when the database fans shard kernels
   out over a ``pmap``, a failed query re-runs on the serial naive
   executor (``optimizer=False``), which never touches the pool — a lost
@@ -23,11 +28,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import ParseError
 from repro.obs import get_logger, metrics
 from repro.serving.cache import stable_key
 from repro.serving.server import Backend
-from repro.sql import Database, parse_sql, tokenize
+from repro.sql import Database, tokenize
 from repro.table import Table
 
 log = get_logger("serving.sql")
@@ -44,15 +48,15 @@ class SqlBackend(Backend):
         return [self.db.query(sql) for sql in payloads]
 
     def cache_key(self, payload: str) -> str | None:
+        version = self.db.version
         try:
-            query = parse_sql(payload)
-        except ParseError:
+            tokens = tokenize(payload)
+            static = self.db.reads_static(tokens)
+        except Exception:                # reported by run_batch instead
             return None
-        names = [query.table, *(join.table for join in query.joins)]
-        if not all(self.db.is_static(name) for name in names):
+        if not static:
             return None
-        return stable_key(self.name, str(self.db.version),
-                          repr(tokenize(payload)))
+        return stable_key(self.name, str(version), repr(tokens))
 
     def fallback(self, payload: str, error: BaseException) -> Any:
         if self.db.pmap is None:

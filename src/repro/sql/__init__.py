@@ -9,7 +9,7 @@ fixed-order interpreter, the optimizer's equivalence oracle.
 """
 
 from repro.sql.ast import Query
-from repro.sql.engine import Database, execute, execute_naive
+from repro.sql.engine import Database, execute_naive
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse_sql, tokenize
 from repro.sql.physical import PhysicalPlan, bind
@@ -21,7 +21,6 @@ __all__ = [
     "Query",
     "bind",
     "compile_query",
-    "execute",
     "execute_naive",
     "optimize",
     "parse_sql",

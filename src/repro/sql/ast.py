@@ -77,3 +77,8 @@ class Query:
     order_by: tuple[str, bool] | None = None  # (column, descending)
     limit: int | None = None
     select_star: bool = False
+    #: Token position of each number / string literal -> the
+    #: :class:`Literal` it parsed to, and whether a leading ``-`` negated
+    #: it (the template plan cache substitutes through these).
+    literals: dict[int, tuple[Literal, bool]] = field(
+        default_factory=dict, compare=False, repr=False)

@@ -13,6 +13,12 @@ single-table columnar kernels, :mod:`repro.shard` morsel kernels for
 partitioned sources, or an existing incremental view.  The original
 fixed-order AST interpreter survives as :func:`execute_naive`, the
 equivalence oracle behind ``optimizer=False``.
+
+:meth:`Database.query` on the optimizer path goes through a template plan
+cache (:mod:`repro.sql.plancache`): a statement that differs from an
+earlier one only in its literals skips parse, compile and optimize, and
+is only bound and executed.  ``explain``, ``create_view`` and
+``optimizer=False`` stay uncached.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import SchemaError
-from repro.obs import tracing
+from repro.obs import metrics, tracing
 from repro.sql import plan as plan_ir
 from repro.sql.ast import Query
 from repro.sql.expr import (
@@ -31,8 +37,9 @@ from repro.sql.expr import (
     where_mask,
 )
 from repro.sql.optimizer import optimize
-from repro.sql.parser import parse_sql
+from repro.sql.parser import parse_sql, tokenize
 from repro.sql.physical import bind
+from repro.sql.plancache import PlanCache, Template, template_key
 from repro.table import Table
 from repro.table.schema import Schema
 
@@ -57,7 +64,8 @@ class Database:
     ``version`` counts catalog changes: :meth:`register`,
     :meth:`register_stream`, :meth:`create_view` and :meth:`drop_view`
     each bump it, so a query over plain tables answers the same for as
-    long as the version holds (the serving result-cache key).
+    long as the version holds (the serving result-cache key).  A version
+    change also empties the template plan cache.
     """
 
     def __init__(self, tables: dict[str, Any] | None = None, *,
@@ -70,6 +78,7 @@ class Database:
         self._optimizer = optimizer
         self.pmap = pmap
         self.version = 0
+        self._plans = PlanCache()
         for name, table in (tables or {}).items():
             self.register(name, table)
 
@@ -243,12 +252,64 @@ class Database:
 
         ``optimizer`` overrides the database default: ``False`` forces the
         naive fixed-order executor (the equivalence oracle), ``True`` the
-        plan-based path.
+        plan-based path, which reuses a cached template's plan when only
+        the literals differ (:mod:`repro.sql.plancache`; the span's
+        ``plan_cache`` attribute says ``hit``, ``miss`` or ``bypass``).
         """
         with tracing.span("sql.query", sql=sql.strip()) as s:
-            out = execute(parse_sql(sql), self, optimizer=optimizer)
-            s.set(rows_out=out.num_rows)
+            if self._optimizer if optimizer is None else optimizer:
+                status, node = self._plan(tokenize(sql))
+                out = bind(node, self, self.pmap).execute()
+            else:
+                status = "bypass"
+                out = execute_naive(parse_sql(sql), self)
+            metrics.counter(f"sql.plan_cache.{status}").inc()
+            s.set(rows_out=out.num_rows, plan_cache=status)
         return out
+
+    def reads_static(self, tokens: list[tuple[str, str]]) -> bool:
+        """Whether every table a statement reads is static
+        (:meth:`is_static`), given its :func:`tokenize` stream and
+        answered from the template plan cache; a new template is parsed,
+        planned and cached, so a later :meth:`query` of it is a hit.
+        Raises whatever :meth:`query` would raise while planning."""
+        template, _values, _node = self._template(tokens)
+        return template.static
+
+    def _plan(self, tokens: list[tuple[str, str]]) -> tuple[str, plan_ir.Node]:
+        """``(status, optimized plan)`` for a token stream; ``status`` says
+        how the template cache served it: ``hit`` (no parse, compile or
+        optimize), ``miss`` (planned and cached) or ``bypass`` (a template
+        that may not be reused, planned again)."""
+        template, values, node = self._template(tokens)
+        if node is not None:
+            return "miss", node
+        if template.plan is not None:
+            return "hit", template.instantiate(values)
+        return "bypass", self._optimized(parse_sql(tokens))
+
+    def _template(self, tokens: list[tuple[str, str]]
+                  ) -> tuple[Template, list[Any], plan_ir.Node | None]:
+        """``(template, slot values, plan)`` for a token stream: the cached
+        template and no plan, or on a miss the new template and the plan
+        made for these very tokens."""
+        key, positions, values = template_key(tokens)
+        version = self.version
+        template = self._plans.get(key, version)
+        if template is not None:
+            return template, values, None
+        query = parse_sql(tokens)
+        node = self._optimized(query)
+        static = all(self.is_static(name) for name in
+                     [query.table, *(join.table for join in query.joins)])
+        template = Template.build(query, node, positions, static)
+        self._plans.put(key, version, template)
+        return template, values, node
+
+    def _optimized(self, query: Query) -> plan_ir.Node:
+        node, _notes = optimize(plan_ir.compile_query(query, self), self,
+                                view_keys=self._view_keys or None)
+        return node
 
     def explain(self, sql: str, analyze: bool = False,
                 optimizer: bool | None = None) -> str:
@@ -343,26 +404,6 @@ def _describe(query: Query, db: Database) -> list[str]:
     if query.limit is not None:
         steps.append(f"limit {query.limit}")
     return steps
-
-
-def execute(query: Query, db: Database,
-            plan: list[dict[str, Any]] | None = None,
-            optimizer: bool | None = None) -> Table:
-    """Run a parsed query through compile → optimize → bind → execute.
-
-    ``optimizer=False`` (or a database constructed with
-    ``optimizer=False``) routes to :func:`execute_naive` instead.  Each
-    stage executes under a ``sql.<stage>`` span carrying actual row
-    counts; when ``plan`` is given (EXPLAIN ANALYZE), one dict per
-    executed stage is appended with the same numbers plus the stage
-    wall-clock.
-    """
-    use = db._optimizer if optimizer is None else optimizer
-    if not use:
-        return execute_naive(query, db, plan)
-    node = plan_ir.compile_query(query, db)
-    node, _notes = optimize(node, db, view_keys=db._view_keys or None)
-    return bind(node, db, db.pmap).execute(plan)
 
 
 def execute_naive(query: Query, db: Database,

@@ -4,6 +4,7 @@ Grammar (case-insensitive keywords)::
 
     query    := SELECT items FROM name join* [WHERE expr]
                 [GROUP BY cols] [ORDER BY col [ASC|DESC]] [LIMIT n]
+                (n a non-negative integer)
     join     := JOIN name ON col = col
     items    := '*' | item (',' item)*
     item     := expr [AS name]
@@ -12,6 +13,10 @@ Grammar (case-insensitive keywords)::
                 [NOT] IN (literal, ...) and [NOT] BETWEEN low AND high,
                 desugared to =/<>/>=/<= chains with SQL three-valued
                 NULL semantics
+
+``-`` is always an operator token; a ``-`` directly before a number
+parses as one negative literal, so ``a-1`` is a subtraction and
+``oid = -5`` compares with the literal ``-5``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.table.aggregate import AGGREGATES as ALGEBRA
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
-    r"(?P<number>-?\d+\.\d+|-?\d+)"
+    r"(?P<number>\d+\.\d+|\d+)"
     r"|(?P<string>'(?:[^']|'')*')"
     r"|(?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|\(|\)|,|\.)"
     r"|(?P<word>[A-Za-z_][A-Za-z_0-9]*)"
@@ -55,25 +60,24 @@ AGGREGATES = frozenset(name for name, fn in ALGEBRA.items()
 def tokenize(sql: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
     pos = 0
-    while pos < len(sql):
-        match = _TOKEN_RE.match(sql, pos)
-        if not match:
-            rest = sql[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"cannot tokenize SQL near: {rest[:25]!r}")
+    for match in _TOKEN_RE.finditer(sql):
+        if match.start() != pos:         # skipped text no token matches
+            break
         pos = match.end()
-        if match.lastgroup == "number":
-            tokens.append(("number", match.group("number")))
-        elif match.lastgroup == "string":
-            raw = match.group("string")[1:-1].replace("''", "'")
-            tokens.append(("string", raw))
-        elif match.lastgroup == "op":
-            tokens.append(("op", match.group("op")))
-        else:
-            word = match.group("word")
-            kind = "keyword" if word.lower() in KEYWORDS else "name"
-            tokens.append((kind, word.lower() if kind == "keyword" else word))
+        kind = match.lastgroup
+        text = match[kind]
+        if kind == "string":
+            text = text[1:-1].replace("''", "'")
+        elif kind == "word":
+            lower = text.lower()
+            if lower in KEYWORDS:
+                kind, text = "keyword", lower
+            else:
+                kind = "name"
+        tokens.append((kind, text))
+    rest = sql[pos:].strip()
+    if rest:
+        raise ParseError(f"cannot tokenize SQL near: {rest[:25]!r}")
     return tokens
 
 
@@ -81,6 +85,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.literals: dict[int, tuple[Literal, bool]] = {}
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -148,11 +153,13 @@ class _Parser:
             query.order_by = (column, descending)
         if self.accept_keyword("limit"):
             kind, value = self.next()
-            if kind != "number":
-                raise ParseError(f"LIMIT expects a number, got {value!r}")
+            if kind != "number" or "." in value:
+                raise ParseError(
+                    f"LIMIT expects a non-negative integer, got {value!r}")
             query.limit = int(value)
         if self.peek() is not None:
             raise ParseError(f"unexpected trailing tokens: {self.tokens[self.pos:]}")
+        query.literals = self.literals
         return query
 
     def join_clause(self) -> JoinClause:
@@ -313,12 +320,23 @@ class _Parser:
             else:
                 return left
 
-    def primary(self):
+    def literal(self, negated: bool = False) -> Literal:
+        """The number or string token at the cursor as a :class:`Literal`,
+        recorded in ``literals`` under the token's position."""
         kind, value = self.next()
-        if kind == "number":
-            return Literal(float(value) if "." in value else int(value))
         if kind == "string":
-            return Literal(value)
+            out = Literal(value)
+        else:
+            number = float(value) if "." in value else int(value)
+            out = Literal(-number if negated else number)
+        self.literals[self.pos - 1] = (out, negated)
+        return out
+
+    def primary(self):
+        token = self.peek()
+        if token is not None and token[0] in ("number", "string"):
+            return self.literal()
+        kind, value = self.next()
         if kind == "keyword" and value in ("true", "false"):
             return Literal(value == "true")
         if kind == "keyword" and value == "null":
@@ -329,8 +347,10 @@ class _Parser:
                 raise ParseError("missing closing parenthesis")
             return inner
         if kind == "op" and value == "-":
-            operand = self.primary()
-            return UnaryOp("neg", operand)
+            token = self.peek()
+            if token is not None and token[0] == "number":
+                return self.literal(negated=True)
+            return UnaryOp("neg", self.primary())
         if kind == "name":
             if value.lower() in AGGREGATES and self.accept_op("("):
                 if self.accept_op("*"):
@@ -344,6 +364,7 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}")
 
 
-def parse_sql(sql: str) -> Query:
-    """Parse a SELECT statement into a :class:`~repro.sql.ast.Query`."""
-    return _Parser(tokenize(sql)).query()
+def parse_sql(sql: str | list[tuple[str, str]]) -> Query:
+    """Parse a SELECT statement (its text, or its :func:`tokenize` output)
+    into a :class:`~repro.sql.ast.Query`."""
+    return _Parser(tokenize(sql) if isinstance(sql, str) else sql).query()

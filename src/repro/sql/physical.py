@@ -64,18 +64,23 @@ __all__ = ["PhysicalNode", "PhysicalPlan", "bind"]
 
 
 class PhysicalNode:
-    """One bound operator: a runner plus rendering metadata."""
+    """One bound operator: a runner plus the logical node it runs, whose
+    one-line ``detail`` is rendered only when asked for."""
 
-    __slots__ = ("op", "detail", "backend", "children", "runner")
+    __slots__ = ("op", "node", "backend", "children", "runner")
 
-    def __init__(self, op: str, detail: str, backend: str,
+    def __init__(self, op: str, node: Node, backend: str,
                  children: list["PhysicalNode"],
                  runner: Callable[[Any], Any]):
         self.op = op
-        self.detail = detail
+        self.node = node
         self.backend = backend
         self.children = children
         self.runner = runner
+
+    @property
+    def detail(self) -> str:
+        return describe(self.node)
 
     def run(self, record) -> Any:
         return self.runner(record)
@@ -168,7 +173,7 @@ def _bind_scan(node: Scan, db) -> PhysicalNode:
         record("scan", None, rows, rows, table=node.table)
         return source
 
-    return PhysicalNode("scan", describe(node), backend, [], run)
+    return PhysicalNode("scan", node, backend, [], run)
 
 
 def _bind_view_scan(node: ViewScan, db) -> PhysicalNode:
@@ -178,7 +183,7 @@ def _bind_view_scan(node: ViewScan, db) -> PhysicalNode:
                table=f"view:{node.name}")
         return table
 
-    return PhysicalNode("scan", describe(node), "view", [], run)
+    return PhysicalNode("scan", node, "view", [], run)
 
 
 # -- filter -------------------------------------------------------------------
@@ -221,7 +226,7 @@ def _bind_filter(node: Filter, db, pmap) -> PhysicalNode:
                selectivity=selectivity, **extra)
         return out
 
-    return PhysicalNode("where", describe(node), backend, [child], run)
+    return PhysicalNode("where", node, backend, [child], run)
 
 
 def _index_probe(predicate: Expr, schema: Schema
@@ -284,7 +289,7 @@ def _bind_join(node: Join, db, pmap) -> PhysicalNode:
                on=f"{node.left_col}={node.right_col}")
         return out
 
-    return PhysicalNode("join", describe(node), backend, [left, right], run)
+    return PhysicalNode("join", node, backend, [left, right], run)
 
 
 # -- aggregate ----------------------------------------------------------------
@@ -320,7 +325,7 @@ def _bind_aggregate(node: Aggregate, db, pmap) -> PhysicalNode:
         record("aggregate", s, rows_in, out.num_rows, by=by)
         return out
 
-    return PhysicalNode("aggregate", describe(node), backend, [child], run)
+    return PhysicalNode("aggregate", node, backend, [child], run)
 
 
 # -- sort / project / limit ---------------------------------------------------
@@ -336,7 +341,7 @@ def _bind_sort(node: Sort, db, pmap) -> PhysicalNode:
         record("sort", s, table.num_rows, out.num_rows, by=node.column)
         return out
 
-    return PhysicalNode("sort", describe(node), "columnar", [child], run)
+    return PhysicalNode("sort", node, "columnar", [child], run)
 
 
 def _bind_project(node: Project, db, pmap) -> PhysicalNode:
@@ -364,7 +369,7 @@ def _bind_project(node: Project, db, pmap) -> PhysicalNode:
         record("project", s, rows_in, out.num_rows, columns=out.num_columns)
         return out
 
-    return PhysicalNode("project", describe(node), backend, [child], run)
+    return PhysicalNode("project", node, backend, [child], run)
 
 
 def _bind_limit(node: Limit, db, pmap) -> PhysicalNode:
@@ -378,4 +383,4 @@ def _bind_limit(node: Limit, db, pmap) -> PhysicalNode:
         record("limit", s, rows_in, out.num_rows, limit=node.n)
         return out
 
-    return PhysicalNode("limit", describe(node), "columnar", [child], run)
+    return PhysicalNode("limit", node, "columnar", [child], run)

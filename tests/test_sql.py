@@ -28,9 +28,12 @@ class TestTokenizer:
         assert ("string", "it's") in tokens
 
     def test_numbers(self):
+        # A minus is always an operator token; the parser folds a minus
+        # before a number into a negative literal.
         tokens = tokenize("select 1 2.5 -3")
         values = [v for kind, v in tokens if kind == "number"]
-        assert values == ["1", "2.5", "-3"]
+        assert values == ["1", "2.5", "3"]
+        assert tokens[-2] == ("op", "-")
 
     def test_keywords_lowercased(self):
         tokens = tokenize("SELECT x FROM t")
@@ -256,3 +259,55 @@ class TestExecution:
             "select id from products where price not between 100 and 150"
         )
         assert out.column("id") == [2]  # id=4's NULL price is not "outside"
+
+
+class TestMinusAndLimit:
+    """A minus after an operand subtracts and a minus before a number is
+    a negative literal, on both engines as in ``sqlite3``; LIMIT takes
+    only a non-negative integer."""
+
+    @pytest.fixture
+    def signed(self):
+        return {"t": Table.from_dict({
+            "o_id": [-5, 1, 2, 3],
+            "a": [2, -1, 0, None],
+            "b": [0.5, -1.5, None, 2.0],
+        })}
+
+    @pytest.mark.parametrize("sql", [
+        "select a-1 as x from t",
+        "select a - -1 as x, b-2.5 as y from t",
+        "select -a as x, -b as y from t",
+        "select o_id from t where a -1 = 1",
+        "select o_id from t where o_id = -5",
+        "select o_id from t where o_id = - 5",
+        "select o_id from t where -o_id = 5",
+    ])
+    def test_minus_matches_sqlite(self, signed, sql):
+        from tests.test_sql_optimizer import _sqlite_db
+
+        db = Database(signed)
+        lite = _sqlite_db(signed).execute(sql).fetchall()
+        assert lite                      # every case selects something
+        for optimizer in (True, False):
+            got = db.query(sql, optimizer=optimizer)
+            assert list(got.rows()) == lite, (sql, optimizer)
+
+    def test_negative_key_probes_the_index(self, signed):
+        db = Database(signed)
+        assert "[columnar[index]]" in db.explain(
+            "select a from t where o_id = -5")
+
+    @pytest.mark.parametrize("limit", ["2.5", "-1", "x"])
+    def test_limit_takes_a_non_negative_integer(self, db, limit):
+        from repro.serving import Server, SqlBackend
+
+        sql = f"select id from products limit {limit}"
+        for optimizer in (True, False):
+            with pytest.raises(ParseError, match="LIMIT"):
+                db.query(sql, optimizer=optimizer)
+        server = Server(workers=0)
+        server.register(SqlBackend(db))
+        response = server.call("sql", sql)
+        assert response.status == "error" and "LIMIT" in response.error
+        assert db.query("select id from products limit 0").num_rows == 0

@@ -107,11 +107,17 @@ def obs_run_report(request):
 
     The reset isolates each bench's counters from session-fixture setup and
     from earlier benches; the artifact preserves the explanatory trace next
-    to the raw pytest-benchmark timing.
+    to the raw pytest-benchmark timing.  Every trace is recorded (sample
+    rate 1, restored afterwards): a bench opens too few roots for the
+    library's default sampling to keep a representative tree.
     """
+    tracer = obs.get_tracer()
+    rate = tracer.sample_rate
+    tracer.sample_rate = 1.0
     obs.reset()
     resilience.reset()
     yield
+    tracer.sample_rate = rate
     out_dir = _report_dir()
     if out_dir is None:
         return

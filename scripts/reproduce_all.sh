@@ -19,7 +19,7 @@ if [[ "${SMOKE:-0}" != "0" ]]; then
   export REPRO_PERF_SMOKE=1
   export REPRO_TABLE_SMOKE=1
   export REPRO_SERVING_SMOKE=1
-  export REPRO_OBS_BENCH_REQUESTS="${REPRO_OBS_BENCH_REQUESTS:-48}"
+  export REPRO_OBS_BENCH_REQUESTS="${REPRO_OBS_BENCH_REQUESTS:-640}"
 fi
 
 if [[ "${SKIP_BENCHES:-0}" == "0" ]]; then

@@ -30,18 +30,27 @@ distributed tracing:
 - :meth:`Tracer.record` attaches an already-measured duration as a
   finished span (queue wait, externally-timed phases).
 
-Cross-thread attachment works through a span index the tracer maintains
-for every retained trace; a finished span whose remote parent has been
-evicted (or never existed) becomes a root and bumps the ``orphans``
-counter.  Roots are capped (FIFO) so a long-lived process cannot grow
-without bound; the number of dropped roots is reported in snapshots and
-the index entries of evicted trees are purged with them.
+Cross-thread attachment works through a span index holding every retained
+span whose context was handed out (``Span.context``); a finished span
+whose remote parent has been evicted (or never existed) becomes a root and
+bumps the ``orphans`` counter.  Roots are capped (FIFO) so a long-lived
+process cannot grow without bound; the number of dropped roots is reported
+in snapshots and the index entries of evicted trees are purged with them.
 
-Tracing can be disabled wholesale (``set_enabled(False)`` or the
-``REPRO_OBS_SPANS=0`` environment variable): every entry point then hands
-back a shared no-op span, which is how the CI overhead gate measures the
-instrumentation tax.  Overhead when enabled is two ``perf_counter`` calls,
-an id allocation and a couple of dict/list operations per span.
+**Head sampling** (Dapper; OpenTelemetry's parent-based ratio sampler):
+each root decides once whether its trace is recorded and every descendant
+inherits the decision, across threads and processes too (an unsampled
+:class:`TraceContext` propagates a "not sampled" mark).  The decision is a
+deterministic stride — with ``Tracer.sample_rate`` r, every
+``round(1/r)``-th root is kept — so the library default
+(:data:`DEFAULT_SAMPLE_RATE`) costs a traced tree only on one request in
+32.  ``REPRO_OBS_SPANS`` sets the rate (``0``/``off``, ``1``/``on``
+or a fraction) and :func:`set_enabled` is the rate-1 / rate-0 shorthand.
+An unsampled ``span`` / ``activate`` / ``start_span`` / ``record`` costs
+one thread-stack check and hands back a shared class-based no-op: no
+span object, no id, no index entry.  A sampled span costs two
+``perf_counter`` calls, an id allocation and a couple of list appends.
+Metrics (counters, histograms) are never sampled.
 """
 
 from __future__ import annotations
@@ -50,7 +59,6 @@ import itertools
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -58,6 +66,16 @@ from typing import Any, Iterator
 TRACEPARENT_KEY = "traceparent"
 #: Carrier key for propagated baggage (a flat str->str dict).
 BAGGAGE_KEY = "baggage"
+#: The W3C ``trace-flags`` value an unsampled position carries as a third
+#: ``traceparent`` field; a header without it is sampled.
+NOT_SAMPLED = "00"
+
+#: Library-default head-sampling rate: one root in 32 keeps its tree.  The
+#: hot-path gate (``benchmarks/bench_ext_obs.py``, limit 5%) read 2-5% for
+#: point lookups at 1/16 and 2-3% at 1/32 on a 2-CPU x86-64 container: a
+#: sampled lookup pays its spans on cold code paths, about 25% of the
+#: lookup.
+DEFAULT_SAMPLE_RATE = 1 / 32
 
 _IDS = itertools.count(1)
 
@@ -67,25 +85,61 @@ def _new_id() -> str:
     return f"{next(_IDS):012x}"
 
 
+def rate_from_env(value: str | None) -> float:
+    """The sample rate a ``REPRO_OBS_SPANS`` value asks for.
+
+    Unset or empty is :data:`DEFAULT_SAMPLE_RATE`; ``0`` / ``off`` is 0,
+    ``1`` / ``on`` is 1, and a number in [0, 1] is itself.  Anything else
+    raises :class:`ValueError` rather than silently tracing (or not).
+    """
+    if value is None or not value.strip():
+        return DEFAULT_SAMPLE_RATE
+    word = value.strip().lower()
+    if word in ("0", "off"):
+        return 0.0
+    if word in ("1", "on"):
+        return 1.0
+    try:
+        rate = float(word)
+    except ValueError:
+        rate = -1.0
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(
+            f"REPRO_OBS_SPANS={value!r}: expected 0/off, 1/on or a sample "
+            f"rate in [0, 1]"
+        )
+    return rate
+
+
 @dataclass(frozen=True)
 class TraceContext:
-    """A position inside a trace: which trace, which span, plus baggage."""
+    """A position inside a trace: which trace, which span, plus baggage.
+
+    ``sampled=False`` marks a position inside an unsampled trace: spans
+    opened under it are no-ops, wherever the context travels.
+    """
 
     trace_id: str
     span_id: str
     baggage: tuple[tuple[str, str], ...] = ()
+    sampled: bool = True
 
     def with_baggage(self, **items: str) -> "TraceContext":
         merged = dict(self.baggage)
         merged.update({k: str(v) for k, v in items.items()})
         return TraceContext(self.trace_id, self.span_id,
-                            tuple(sorted(merged.items())))
+                            tuple(sorted(merged.items())), self.sampled)
 
     def baggage_dict(self) -> dict[str, str]:
         return dict(self.baggage)
 
 
-@dataclass
+#: The one unsampled position: no ids, no baggage.  Every unsampled
+#: context is normalized to it on a thread's stack.
+_UNSAMPLED = TraceContext("", "", sampled=False)
+
+
+@dataclass(slots=True)
 class Span:
     """One timed operation, possibly with children."""
 
@@ -98,6 +152,9 @@ class Span:
     span_id: str = ""
     parent_id: str | None = None
     thread_id: int = 0
+    #: The tracer that retains this span, so a propagated context can be
+    #: indexed there; cleared when the span's tree is evicted.
+    tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
 
     def set(self, **attributes: Any) -> "Span":
         """Attach attributes to the span; returns self for chaining."""
@@ -110,7 +167,13 @@ class Span:
 
     @property
     def context(self) -> TraceContext:
-        """This span's position as a propagatable :class:`TraceContext`."""
+        """This span's position as a propagatable :class:`TraceContext`.
+
+        Handing the position out is what lets another thread attach under
+        this span, so it enters the tracer's span index here.
+        """
+        if self.tracer is not None:
+            self.tracer._index_span(self)
         return TraceContext(self.trace_id, self.span_id)
 
     def total_descendants(self) -> int:
@@ -180,7 +243,10 @@ class Span:
 
 
 class _NoopSpan(Span):
-    """The shared span handed out while tracing is disabled."""
+    """The shared span an unsampled trace hands out; also its own no-op
+    context manager, so an unsampled ``with span(...)`` allocates nothing."""
+
+    __slots__ = ()
 
     def __init__(self):
         super().__init__(name="noop", duration=0.0)
@@ -188,8 +254,70 @@ class _NoopSpan(Span):
     def set(self, **attributes: Any) -> "Span":
         return self
 
+    @property
+    def context(self) -> TraceContext:
+        return _UNSAMPLED
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
 
 _NOOP = _NoopSpan()
+
+
+class _Push:
+    """Pushes one trace position onto the calling thread's stack for the
+    duration of a block: a sampled remote context (:meth:`Tracer.activate`)
+    or the unsampled mark, under which spans are no-ops instead of new
+    roots (one shared instance per tracer)."""
+
+    __slots__ = ("_local", "_position")
+
+    def __init__(self, local: threading.local, position: TraceContext):
+        self._local = local
+        self._position = position
+
+    def __enter__(self) -> Span:
+        self._local.stack.append(self._position)
+        return _NOOP
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._local.stack.pop()
+
+
+class _Scope:
+    """The context manager of one sampled span."""
+
+    __slots__ = ("_tracer", "_stack", "_node", "_parent")
+
+    def __init__(self, tracer: "Tracer", stack: list[Any], node: Span,
+                 parent: Any):
+        self._tracer = tracer
+        self._stack = stack
+        self._node = node
+        self._parent = parent
+
+    def __enter__(self) -> Span:
+        node = self._node
+        self._stack.append(node)
+        node.start = time.perf_counter()
+        return node
+
+    def __exit__(self, *exc_info: Any) -> None:
+        node = self._node
+        node.duration = time.perf_counter() - node.start
+        self._stack.pop()
+        self._tracer._close(node, self._parent)
+
+
+class _ThreadState(threading.local):
+    def __init__(self):
+        #: Open spans, activated contexts and unsampled marks, innermost
+        #: last.
+        self.stack: list[Any] = []
 
 
 class Tracer:
@@ -208,21 +336,56 @@ class Tracer:
         #: Finished spans whose remote parent could not be found (evicted,
         #: reset, or never recorded) — they were promoted to roots instead.
         self.orphans = 0
-        self._local = threading.local()
-        #: span_id -> Span for every span of every retained trace, the
-        #: lookup cross-thread attachment uses.
+        self._local = _ThreadState()
+        self._unsampled = _Push(self._local, _UNSAMPLED)
+        #: span_id -> Span for every retained span whose context was handed
+        #: out — the only spans another thread can attach under.
         self._index: dict[str, Span] = {}
+        #: Roots decided so far, for the stride (restarted by reset()).
+        self._roots_seen = itertools.count(1)
         if enabled is None:
-            enabled = os.environ.get("REPRO_OBS_SPANS", "") not in ("0", "off")
-        self.enabled = enabled
+            self.sample_rate = rate_from_env(os.environ.get("REPRO_OBS_SPANS"))
+        else:
+            self.enabled = enabled
+
+    # -- sampling ------------------------------------------------------------
+
+    @property
+    def sample_rate(self) -> float:
+        """Fraction of roots whose trace is recorded (0 = no spans)."""
+        return self._rate
+
+    @sample_rate.setter
+    def sample_rate(self, rate: float) -> None:
+        rate = float(rate)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"sample rate must be in [0, 1], got {rate}")
+        self._rate = rate
+        #: Keep every ``_stride``-th root (0 keeps none).
+        self._stride = round(1.0 / rate) if rate > 0.0 else 0
+
+    @property
+    def enabled(self) -> bool:
+        """Whether any root is sampled (``sample_rate > 0``)."""
+        return self._rate > 0.0
+
+    @enabled.setter
+    def enabled(self, flag: bool) -> None:
+        self.sample_rate = 1.0 if flag else 0.0
+
+    def _sample_root(self) -> bool:
+        """The head decision for a new root: the deterministic stride."""
+        stride = self._stride
+        return stride == 1 or (
+            stride > 1 and next(self._roots_seen) % stride == 0)
+
+    def _unsampled_root(self) -> Any:
+        # At rate 0 every root decides "no" anyway, so nothing need mark
+        # the thread; otherwise the mark keeps descendants from becoming
+        # roots of their own.
+        return self._unsampled if self._stride else _NOOP
 
     # -- thread-local active stack (open spans + activated contexts) --------
-
-    def _stack(self) -> list[Any]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def current(self) -> Span | None:
         """The innermost open span on this thread, or None.
@@ -230,14 +393,19 @@ class Tracer:
         An activated remote :class:`TraceContext` is *not* a span — there
         is nothing to attach attributes to — so it reports None.
         """
-        stack = self._stack()
+        stack = self._local.stack
         top = stack[-1] if stack else None
         return top if isinstance(top, Span) else None
 
     def current_context(self) -> TraceContext | None:
-        """The innermost trace position on this thread (span or activated
-        context), or None when no trace is active."""
-        stack = self._stack()
+        """The innermost trace position on this thread, or None.
+
+        Inside an unsampled trace this is the unsampled position
+        (``sampled=False``), so what is opened or propagated from here
+        inherits the decision.  At rate 0 every root decides "no" anyway
+        and nothing marks the thread, so it is None there.
+        """
+        stack = self._local.stack
         if not stack:
             return None
         top = stack[-1]
@@ -245,41 +413,52 @@ class Tracer:
 
     # -- span lifecycle ------------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        if not self.enabled:
-            yield _NOOP
-            return
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        node = self._open(name, parent, attributes)
-        stack.append(node)
-        node.start = time.perf_counter()
-        try:
-            yield node
-        finally:
-            node.duration = time.perf_counter() - node.start
-            stack.pop()
-            self._close(node, parent)
+    def span(self, name: str, **attributes: Any) -> Any:
+        """Context manager timing a block as a span (yields the span).
 
-    @contextmanager
-    def activate(self, ctx: TraceContext | None) -> Iterator[None]:
+        Under an unsampled parent, or as an unsampled root, it is a shared
+        no-op yielding a span whose ``set`` does nothing.
+        """
+        stack = self._local.stack
+        if stack:
+            parent = stack[-1]
+            if parent is _UNSAMPLED:
+                return _NOOP
+        elif not self._sample_root():
+            return self._unsampled_root()
+        else:
+            parent = None
+        return _Scope(self, stack, self._open(name, parent, attributes),
+                      parent)
+
+    def sampled_span(self, name: str, **attributes: Any) -> Any:
+        """:meth:`span`, recorded whatever the sample rate.
+
+        For spans whose timings are themselves the product (EXPLAIN
+        ANALYZE reads its stage times off them): under a sampled parent it
+        is an ordinary child; otherwise it starts its own sampled root.
+        """
+        stack = self._local.stack
+        parent = stack[-1] if stack else None
+        if parent is _UNSAMPLED:
+            parent = None
+        return _Scope(self, stack, self._open(name, parent, attributes),
+                      parent)
+
+    def activate(self, ctx: TraceContext | None) -> Any:
         """Install a remote trace position on this thread.
 
         Spans opened while the context is innermost become its children
-        even though the parent span lives on (or lived on) another thread.
-        ``None`` deactivates nothing and is allowed so call sites can pass
-        an optional context through unconditionally.
+        even though the parent span lives on (or lived on) another thread;
+        under an unsampled context they are no-ops.  ``None`` activates
+        nothing and is allowed so call sites can pass an optional context
+        through unconditionally.
         """
-        if not self.enabled or ctx is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(ctx)
-        try:
-            yield
-        finally:
-            stack.pop()
+        if ctx is None:
+            return _NOOP
+        if not ctx.sampled:
+            return self._unsampled_root()
+        return _Push(self._local, ctx)
 
     def start_span(self, name: str, parent: TraceContext | None = None,
                    **attributes: Any) -> Span:
@@ -287,9 +466,13 @@ class Tracer:
 
         The manual form for spans whose lifetime crosses function (or
         thread) boundaries — finish with :meth:`finish_span`.  ``parent``
-        anchors it in an existing trace; None starts a new trace.
+        anchors it in an existing trace; None starts a new trace (a root,
+        subject to sampling).
         """
-        if not self.enabled:
+        if parent is None:
+            if not self._sample_root():
+                return _NOOP
+        elif not parent.sampled:
             return _NOOP
         node = self._open(name, parent, attributes)
         node.start = time.perf_counter()
@@ -313,9 +496,12 @@ class Tracer:
 
         For phases timed by other means (queue waits measured on the
         serving clock, imported timings): the span is created finished and
-        attached under ``parent`` (or becomes a root).
+        attached under ``parent`` (or becomes a root, subject to sampling).
         """
-        if not self.enabled:
+        if parent is None:
+            if not self._sample_root():
+                return _NOOP
+        elif not parent.sampled:
             return _NOOP
         node = self._open(name, parent, attributes)
         node.duration = float(duration)
@@ -325,18 +511,17 @@ class Tracer:
     # -- internals -----------------------------------------------------------
 
     def _open(self, name: str, parent: Any, attributes: dict[str, Any]) -> Span:
-        node = Span(name=name, attributes=attributes,
-                    span_id=_new_id(), thread_id=threading.get_ident())
-        if isinstance(parent, Span):
-            node.trace_id = parent.trace_id
-            node.parent_id = parent.span_id
-        elif isinstance(parent, TraceContext):
-            node.trace_id = parent.trace_id
-            node.parent_id = parent.span_id
+        if parent is None:
+            trace_id, parent_id = _new_id(), None
         else:
-            node.trace_id = _new_id()
-        self._index[node.span_id] = node
-        return node
+            # A Span or a TraceContext: both name their trace and span.
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        return Span(name, attributes, [], 0.0, None, trace_id, _new_id(),
+                    parent_id, threading.get_ident(), self)
+
+    def _index_span(self, node: Span) -> None:
+        with self._lock:
+            self._index[node.span_id] = node
 
     def _close(self, node: Span, parent: Any) -> None:
         if isinstance(parent, Span):
@@ -354,8 +539,9 @@ class Tracer:
             if target is not None:
                 target.children.append(node)
                 return
-        # Parent evicted/reset before the child finished: promote to root.
-        self.orphans += 1
+            # Parent evicted/reset before the child finished: promote to
+            # root.
+            self.orphans += 1
         node.set(orphaned=True)
         self._add_root(node)
 
@@ -370,8 +556,10 @@ class Tracer:
                 self.dropped += overflow
 
     def _forget(self, root: Span) -> None:
-        """Purge an evicted tree's ids from the cross-thread index."""
+        """Purge an evicted tree from the cross-thread index; a context
+        read off it later finds no parent (its children become orphans)."""
         for span in root.walk():
+            span.tracer = None
             self._index.pop(span.span_id, None)
 
     # -- inspection / lifecycle ---------------------------------------------
@@ -389,12 +577,14 @@ class Tracer:
         return None
 
     def reset(self) -> None:
-        """Drop all collected roots (open spans on live stacks survive)."""
+        """Drop all collected roots and restart the sampling stride (open
+        spans on live stacks survive)."""
         with self._lock:
             self._roots.clear()
             self._index.clear()
             self.dropped = 0
             self.orphans = 0
+            self._roots_seen = itertools.count(1)
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
@@ -434,7 +624,8 @@ def activate(ctx: TraceContext | None):
 
 
 def set_enabled(enabled: bool) -> None:
-    """Globally enable/disable span creation (metrics are unaffected)."""
+    """Record every trace (True: rate 1) or none (False: rate 0); metrics
+    are unaffected."""
     _TRACER.enabled = bool(enabled)
 
 
@@ -443,13 +634,17 @@ def inject(ctx: TraceContext | None = None,
     """Write a trace position into a dict carrier and return the carrier.
 
     Defaults to the calling thread's current context; a no-op (returning
-    the carrier unchanged) when there is no context to propagate.
+    the carrier unchanged) when there is no context to propagate.  An
+    unsampled position writes only the :data:`NOT_SAMPLED` mark.
     """
     if carrier is None:
         carrier = {}
     if ctx is None:
         ctx = current_context()
     if ctx is None:
+        return carrier
+    if not ctx.sampled:
+        carrier[TRACEPARENT_KEY] = f"--{NOT_SAMPLED}"
         return carrier
     carrier[TRACEPARENT_KEY] = f"{ctx.trace_id}-{ctx.span_id}"
     if ctx.baggage:
@@ -464,7 +659,10 @@ def extract(carrier: dict[str, Any] | None) -> TraceContext | None:
     header = carrier.get(TRACEPARENT_KEY)
     if not isinstance(header, str) or "-" not in header:
         return None
-    trace_id, _, span_id = header.partition("-")
+    trace_id, _, rest = header.partition("-")
+    span_id, _, flags = rest.partition("-")
+    if flags == NOT_SAMPLED:
+        return _UNSAMPLED
     if not trace_id or not span_id:
         return None
     baggage = carrier.get(BAGGAGE_KEY) or {}

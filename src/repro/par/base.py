@@ -112,9 +112,10 @@ class BaseMap:
         with tracing.span("par.map", label=label, items=len(items),
                           workers=self.workers, chunks=len(chunks),
                           kind=self.kind) as span:
-            # The map span's position, carried into workers so each
-            # par.chunk attaches under it instead of orphaning as a root.
-            ctx = tracing.current_context()
+            # The map span's position (sampled or not), carried into
+            # workers so each par.chunk attaches under it, or stays a
+            # no-op, instead of deciding as a root of its own.
+            ctx = span.context
             if self.workers <= 0 or len(chunks) == 1:
                 for index, (lo, hi) in enumerate(chunks):
                     self._run_chunk(fn, items, index, lo, hi, results,

@@ -51,6 +51,7 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import RemoteTaskError, WorkerLostError
 from repro.obs import get_logger, metrics, tracing
+from repro.obs.instrument import timed
 from repro.par.base import BaseMap
 
 log = get_logger("par.procpool")
@@ -336,10 +337,9 @@ class ProcessMap(BaseMap):
 
     def _attach_chunk_span(self, index: int, lo: int, hi: int, label: str,
                            ctx: tracing.TraceContext | None,
-                           duration: float | None, worker_pid: int) -> None:
-        """Re-parent the child's measured chunk under the par.map span."""
-        if duration is None:
-            return
+                           duration: float, worker_pid: int) -> None:
+        """Observe the child's measured chunk; under a sampled par.map,
+        also re-parent it there as a finished span."""
         metrics.histogram("par.chunk.seconds").observe(duration)
         tracing.get_tracer().record(
             "par.chunk", duration, parent=ctx,
@@ -353,16 +353,18 @@ def _remote_chunk(fn, items: Sequence[Any], lo: int, hi: int, retry,
     """Chunk body executed inside a forked worker.
 
     Returns ``(item_outcomes, duration, pid)`` where each item outcome is
-    ``(index, ok, value_or_exception)``.  The chunk is timed by a span in
-    the child's own tracer (activated under the extracted parent context);
-    the tracer dies with the process, so only the duration travels home —
-    the parent re-attaches it under the original ``par.map`` span.
+    ``(index, ok, value_or_exception)``.  The chunk is timed whether or
+    not its trace is sampled, and the duration always travels home: the
+    child's tracer and registry die with the process, so the parent
+    observes ``par.chunk.seconds`` and, for a sampled trace, re-attaches
+    the chunk under the original ``par.map`` span.
     """
     ctx = tracing.extract(carrier)
     item_outcomes: list[tuple[int, bool, Any]] = []
+    chunk = timed("par.chunk.seconds", span_name="par.chunk", label=label,
+                  size=hi - lo, pid=os.getpid())
     with tracing.activate(ctx):
-        with tracing.span("par.chunk", label=label, size=hi - lo,
-                          pid=os.getpid()) as chunk_span:
+        with chunk:
             for i in range(lo, hi):
                 try:
                     if retry is None:
@@ -373,4 +375,4 @@ def _remote_chunk(fn, items: Sequence[Any], lo: int, hi: int, retry,
                     item_outcomes.append((i, True, value))
                 except Exception as exc:  # noqa: BLE001 - parent decides
                     item_outcomes.append((i, False, exc))
-    return item_outcomes, chunk_span.duration, os.getpid()
+    return item_outcomes, chunk.seconds, os.getpid()

@@ -291,12 +291,14 @@ class Server:
         metrics.histogram(f"serving.{name}.batch_size",
                           buckets=SIZE_BUCKETS).observe(len(batch))
         live = []
+        batch_ctx = None
         for request, future in batch:
             # Queue wait, measured on the serving clock and attached to the
             # request's own trace (extracted from its carrier, so this works
             # on whichever thread runs the batch).
+            ctx = tracing.extract(request.trace)
             tracer.record("serving.queue", started - request.enqueued_at,
-                          parent=tracing.extract(request.trace), backend=name,
+                          parent=ctx, backend=name,
                           priority=request.priority)
             if request.deadline is not None and request.deadline.expired:
                 metrics.counter("serving.expired").inc()
@@ -307,12 +309,15 @@ class Server:
                 ), future)
             else:
                 live.append((request, future))
+                if batch_ctx is None or (ctx is not None and ctx.sampled
+                                         and not batch_ctx.sampled):
+                    batch_ctx = ctx
         if not live:
             return
-        # The batch span lands in the first live request's trace; the other
+        # The batch span lands in the first sampled live request's trace
+        # (else the first live one's, where it is a no-op); the other
         # requests in the batch keep their request/queue spans in their own
         # traces (the batch is shared work, owned by one trace).
-        batch_ctx = tracing.extract(live[0][0].trace)
         with tracing.activate(batch_ctx), \
                 tracing.span("serving.batch", backend=name, size=len(batch),
                              requests=len(live)):

@@ -353,7 +353,10 @@ class Database:
         if not analyze:
             return "\n".join(lines)
         plan: list[dict[str, Any]] = []
-        with tracing.span("sql.explain", sql=sql.strip()):
+        # The stage times are read off the sql.* spans, so this trace is
+        # recorded whatever the sample rate.
+        with tracing.get_tracer().sampled_span("sql.explain",
+                                               sql=sql.strip()):
             if physical is not None:
                 result = physical.execute(plan)
             else:

@@ -86,12 +86,24 @@ def foundation_model(fact_store):
 
 
 @pytest.fixture(autouse=True)
-def _reset_obs():
+def _reset_obs(monkeypatch):
+    """Fresh metrics and spans per test, with every trace recorded.
+
+    The library samples one root in 32 by default; span-shape tests
+    need every tree, so the suite pins rate 1 — on the global tracer and,
+    through ``REPRO_OBS_SPANS``, on any tracer a test builds (tests that
+    exercise sampling set their own rate) — and restores it afterwards.
+    """
     from repro import resilience
 
+    monkeypatch.setenv("REPRO_OBS_SPANS", "1")
+    tracer = obs.get_tracer()
+    rate = tracer.sample_rate
+    tracer.sample_rate = 1.0
     obs.reset()
     resilience.reset()
     yield
+    tracer.sample_rate = rate
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import IvmError, SchemaError
 from repro.obs import metrics
-from repro.table import Schema, Table
+from repro.table import HashIndex, Schema, Table, hash_rows
 from repro.table.aggregate import AGGREGATES, exact_sums, lookup, output_fields
 from repro.ivm.zset import ZSet
 
@@ -58,14 +58,6 @@ def _key_tuples(table: Table, key_names: Sequence[str]) -> list[tuple[Any, ...]]
     return list(zip(*cols)) if cols else [()] * table.num_rows
 
 
-def _keys_of(table: Table, key_names: Sequence[str]) -> list[Any]:
-    """Hashable key per row: the bare value for single-column keys (no
-    tuple boxing on the hot path), a tuple otherwise."""
-    if len(key_names) == 1:
-        return table.column(key_names[0])
-    return _key_tuples(table, key_names)
-
-
 def _any_null(table: Table, key_names: Sequence[str]) -> np.ndarray:
     out = np.zeros(table.num_rows, dtype=bool)
     for name in key_names:
@@ -74,35 +66,32 @@ def _any_null(table: Table, key_names: Sequence[str]) -> np.ndarray:
 
 
 class Trace:
-    """An operator's accumulated input: append-only Z-set parts plus a key
-    index.
+    """An operator's accumulated input: append-only Z-set parts plus a
+    key index.
 
-    ``index`` maps a key (the bare value for single-column keys, a tuple
-    otherwise) to the positions carrying it in the *concatenated* trace,
-    so a delta row finds its matches with one dict lookup followed by a
-    vectorized gather.  :meth:`update` appends the delta as a pending part
-    and indexes its keys at their offsets — O(delta), no copy of the
+    The index is a :class:`~repro.table.HashIndex` over the key hashes,
+    holding positions in the *concatenated* trace, so a delta finds its
+    matches with ``searchsorted`` and a vectorized gather, confirmed by
+    exact key equality.  :meth:`update` appends the delta as a pending
+    part and indexes its keys at their offsets — O(delta), no copy of the
     accumulated rows.  The parts are concatenated, in one pass, only when
     something reads :attr:`zset`: a probe from the other join side, or
     compaction.  A join whose other side never changes therefore never
     copies this side's state on a push.  Consolidation garbage (cancelled
-    ±w pairs) is bounded by periodic compaction.
+    ±w pairs) is bounded by periodic compaction, which rebuilds the index
+    with one argsort when rows were dropped.
 
-    ``skip_null_keys=True`` (joins) drops null-keyed rows entirely — they
-    can never match, per SQL equality.  ``False`` (group-by) indexes them
-    like any other key: null group keys bucket together.
+    Null-keyed rows are never stored: they can never match, per SQL
+    equality.
     """
 
-    __slots__ = ("_parts", "_len", "key_names", "skip_null_keys", "index",
-                 "_compacted_len")
+    __slots__ = ("_parts", "_index", "_len", "key_names", "_compacted_len")
 
-    def __init__(self, schema: Schema, key_names: Sequence[str], *,
-                 skip_null_keys: bool):
+    def __init__(self, schema: Schema, key_names: Sequence[str]):
         self._parts = [ZSet.empty(schema)]
+        self._index = HashIndex.build(np.empty(0, np.uint64))
         self._len = 0
         self.key_names = list(key_names)
-        self.skip_null_keys = skip_null_keys
-        self.index: dict[Any, list[int]] = {}
         self._compacted_len = 0
 
     def __len__(self) -> int:
@@ -121,25 +110,37 @@ class Trace:
         return (f"{self._compacted_len} consolidated + "
                 f"{self._len - self._compacted_len} pending rows")
 
+    def probe(self, delta: ZSet, key_names: Sequence[str]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs ``(delta row, trace row)`` whose keys (``key_names`` in
+        the delta, :attr:`key_names` here) are equal; a null key equals
+        nothing here, since the trace stores none."""
+        if not self._len:
+            return np.empty(0, np.intp), np.empty(0, np.intp)
+        keys = delta.payload.project(key_names).columns()
+        return self._index.probe(
+            hash_rows(keys), keys,
+            self.zset.payload.project(self.key_names).columns())
+
+    def _key_hashes(self, part: ZSet) -> np.ndarray:
+        return hash_rows(part.payload.project(self.key_names).columns())
+
     def update(self, delta: ZSet) -> None:
         if len(delta) == 0:
             return
-        if self.skip_null_keys:
-            nulls = _any_null(delta.payload, self.key_names)
-            if nulls.any():
-                delta = delta.compress(~nulls)
-                if len(delta) == 0:
-                    return
+        nulls = _any_null(delta.payload, self.key_names)
+        if nulls.any():
+            delta = delta.compress(~nulls)
+            if len(delta) == 0:
+                return
         start = self._len
         if start:
             self._parts.append(delta)
         else:
             self._parts = [delta]
+        self._index = self._index.insert(
+            self._key_hashes(delta), np.arange(start, start + len(delta)))
         self._len += len(delta)
-        setdefault = self.index.setdefault
-        for offset, key in enumerate(_keys_of(delta.payload,
-                                              self.key_names)):
-            setdefault(key, []).append(start + offset)
         metrics.counter("ivm.trace.rows").inc(len(delta))
         self._maybe_compact()
 
@@ -154,10 +155,7 @@ class Trace:
         self._parts = [flat]
         self._len = self._compacted_len = len(flat)
         if len(flat) < n:
-            self.index = {}
-            for pos, key in enumerate(_keys_of(flat.payload,
-                                               self.key_names)):
-                self.index.setdefault(key, []).append(pos)
+            self._index = HashIndex.build(self._key_hashes(flat))
         metrics.counter("ivm.trace.compactions").inc()
 
 
@@ -338,10 +336,8 @@ class JoinNode(Node):
         self.schema = out_schema
         self.kept_right_idx = list(kept_right_idx)
         self.streams = left.streams | right.streams
-        self._left_trace = Trace(left.schema, self.left_key_names,
-                                 skip_null_keys=True)
-        self._right_trace = Trace(right.schema, self.right_key_names,
-                                  skip_null_keys=True)
+        self._left_trace = Trace(left.schema, self.left_key_names)
+        self._right_trace = Trace(right.schema, self.right_key_names)
 
     def delta(self, changes: dict) -> ZSet:
         dl = self.left.delta(changes)
@@ -373,23 +369,12 @@ class JoinNode(Node):
 
     def _probe(self, delta: ZSet, trace: Trace, *,
                delta_on_left: bool) -> ZSet:
-        key_names = (self.left_key_names if delta_on_left
-                     else self.right_key_names)
-        d_idx: list[int] = []
-        t_idx: list[int] = []
-        nulls = _any_null(delta.payload, key_names).tolist()
-        index_get = trace.index.get
-        for i, key in enumerate(_keys_of(delta.payload, key_names)):
-            if nulls[i]:
-                continue
-            hits = index_get(key)
-            if hits:
-                d_idx.extend([i] * len(hits))
-                t_idx.extend(hits)
-        if not d_idx:
+        d_idx, t_idx = trace.probe(delta, self.left_key_names
+                                   if delta_on_left else self.right_key_names)
+        if not len(d_idx):
             return self._empty()
-        dz = delta.take(np.asarray(d_idx, dtype=np.intp))
-        tz = trace.zset.take(np.asarray(t_idx, dtype=np.intp))
+        dz = delta.take(d_idx)
+        tz = trace.zset.take(t_idx)
         lz, rz = (dz, tz) if delta_on_left else (tz, dz)
         cols = tuple(lz.payload.columns()) + tuple(
             rz.payload.columns()[j] for j in self.kept_right_idx

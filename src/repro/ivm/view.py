@@ -1,8 +1,9 @@
 """Stream tables and materialized views.
 
 A :class:`StreamTable` is a continuously-mutating table: its net state is
-a Z-set (kept as lazily-consolidated parts plus a multiplicity ledger),
-and :meth:`~StreamTable.insert_rows` / :meth:`~StreamTable.delete_rows`
+a Z-set, kept consolidated as a ledger of distinct rows, weights and a
+row-hash index (docs/ivm.md, "State on arrays"), and
+:meth:`~StreamTable.insert_rows` / :meth:`~StreamTable.delete_rows`
 push ``(row, ±1)`` deltas through every :class:`MaterializedView`
 registered over it.  A view is a compiled tree of
 :mod:`~repro.ivm.operators` nodes; each push advances the tree by one
@@ -28,11 +29,14 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import IvmError
 from repro.obs import metrics
 from repro.obs.instrument import timed
 from repro.resilience import faults
-from repro.table import Schema, Table
+from repro.table import NUMPY_DTYPES, Column, HashIndex, Schema, Table, hash_rows
+from repro.table.hashing import distinct_rows
 from repro.ivm.operators import (
     DistinctNode,
     FilterNode,
@@ -55,47 +59,68 @@ class StreamTable:
     Construct from a :class:`~repro.table.Table` (initial state) or a
     schema (empty stream).  The net state is always a true multiset —
     deleting rows that are not present raises
-    :class:`~repro.errors.IvmError` before anything mutates.  Physically
-    the state is a list of pending Z-set parts plus a row-multiplicity
-    ledger: a push validates against the ledger and appends one part
-    (O(delta) work), and consolidation happens lazily on the first
-    :meth:`snapshot` / seed after a burst of pushes.
+    :class:`~repro.errors.IvmError` before anything mutates.
+
+    Physically the state is a ledger in structure-of-arrays form: the
+    distinct rows seen so far (column buffers in first-appearance order,
+    appended with amortized doubling), a mutable int64 weight per row, and
+    a :class:`~repro.table.HashIndex` over the rows' content hashes.  A
+    push hashes the delta, finds the stored rows it touches (confirmed by
+    exact equality), adds the net weights in place and appends the unseen
+    rows — O(delta) work, amortized.  Rows whose weight falls to zero stay
+    until they are half the physical rows, when one compress drops them
+    all, so a stream holds at most about twice its distinct live rows plus
+    one push.
     """
 
     def __init__(self, data: Table | Schema | Sequence[tuple[str, str]],
                  name: str = "stream") -> None:
-        if isinstance(data, Table):
-            part = ZSet.from_table(data)
-            bag: dict[tuple[Any, ...], int] = {}
-            for row in data.rows():
-                bag[row] = bag.get(row, 0) + 1
-        else:
-            part = ZSet.empty(data)
-            bag = {}
+        table = data if isinstance(data, Table) else Table.empty(data)
         self.name = name
-        self._parts: list[ZSet] = [part]
-        self._flat: ZSet | None = None
-        self._bag = bag
-        self._net = len(part)
+        self._schema = table.schema
+        self._values = [np.empty(0, NUMPY_DTYPES[f.dtype])
+                        for f in self._schema]
+        self._masks = [np.empty(0, bool) for _ in self._schema]
+        self._weights = np.empty(0, np.int64)
+        self._n = 0
+        self._zeros = 0
+        self._index = HashIndex.build(np.empty(0, np.uint64))
+        self._absorb(ZSet.from_table(table))
+        self._net = table.num_rows
         self._views: list["MaterializedView"] = []
         self._snapshot: Table | None = None
 
+    def _payload(self) -> Table:
+        """Every physical row, zero weights included (views of the
+        buffers: appends write past them, and nothing rewrites a row)."""
+        n = self._n
+        return Table.from_columns(self._schema, [
+            Column(f.dtype, v[:n], m[:n])
+            for f, v, m in zip(self._schema, self._values, self._masks)])
+
     @property
     def _state(self) -> ZSet:
-        """The net state as one consolidated Z-set (lazily folded)."""
-        if self._flat is None:
-            self._flat = ZSet.concat(self._parts).consolidate()
-            self._parts = [self._flat]
-        return self._flat
+        """The net state: the rows of nonzero weight."""
+        weights = self._weights[:self._n]
+        if not self._zeros:
+            return ZSet(self._payload(), weights.copy())
+        keep = weights != 0
+        return ZSet(self._payload().filter(keep), weights[keep])
 
     @property
     def schema(self) -> Schema:
-        return self._parts[0].schema
+        return self._schema
 
     @property
     def num_rows(self) -> int:
         """Net row count (duplicates weighted)."""
         return self._net
+
+    @property
+    def physical_rows(self) -> int:
+        """Rows the ledger holds, zero-weight rows not yet compressed
+        included."""
+        return self._n
 
     def __repr__(self) -> str:
         return (f"StreamTable({self.name!r}, rows={self.num_rows}, "
@@ -104,7 +129,7 @@ class StreamTable:
     def snapshot(self) -> Table:
         """The current state as a plain table (cached until the next push)."""
         if self._snapshot is None:
-            self._snapshot = self._state.to_table()
+            self._snapshot = self._state.expand()
         return self._snapshot
 
     # -- mutation ---------------------------------------------------------
@@ -134,9 +159,8 @@ class StreamTable:
     def push(self, delta: ZSet) -> None:
         """Apply one delta batch: validate, advance state, notify views.
 
-        Cost is O(delta): validation nets the delta against the
-        multiplicity ledger, and the state update is one part append — no
-        re-consolidation of the accumulated state on the push path.
+        Cost is O(delta), amortized: the ledger update never
+        re-consolidates the accumulated state (see the class docstring).
 
         The state transition is atomic with respect to failure *before*
         it: the ``ivm.push`` fault point and the negative-multiplicity
@@ -153,39 +177,83 @@ class StreamTable:
         with timed("ivm.push.seconds", span_name="ivm.push",
                    stream=self.name, entries=len(delta)) as s:
             faults.point(PUSH_POINT)
-            bag = self._bag
-            overlay: dict[tuple[Any, ...], int] = {}
-            cols = [c.to_pylist() for c in delta.payload.columns()]
-            row_iter = zip(*cols) if cols else iter(
-                [()] * delta.payload.num_rows)
-            for row, w in zip(row_iter, delta.weights.tolist()):
-                overlay[row] = overlay.get(row, 0) + w
-            # Only net-negative rows can push an existing multiplicity
-            # below zero (the ledger is never negative), so validation
-            # touches just the delete side of the delta.
-            bad = sum(1 for row, w in overlay.items()
-                      if w < 0 and bag.get(row, 0) + w < 0)
-            if bad:
-                raise IvmError(
-                    f"push would leave {bad} rows of stream {self.name!r} "
-                    f"with negative multiplicity (deleting absent rows?)"
-                )
-            for row, w in overlay.items():
-                new = bag.get(row, 0) + w
-                if new:
-                    bag[row] = new
-                else:
-                    bag.pop(row, None)
+            self._absorb(delta)
             self._net += int(delta.weights.sum())
-            if len(delta):
-                self._parts.append(delta)
-                self._flat = None
             self._snapshot = None
             metrics.counter("ivm.pushes").inc()
             metrics.counter("ivm.delta_rows").inc(len(delta))
             for view in list(self._views):
                 view._apply(self, delta)
             s.set(state_rows=self._net)
+
+    def _absorb(self, delta: ZSet) -> None:
+        """Add ``delta`` to the ledger, or raise before mutating anything
+        when a row's weight would go negative."""
+        if len(delta) == 0:
+            return
+        columns = delta.payload.columns()
+        weights = delta.weights
+        hashes = hash_rows(columns)
+        found, slot = self._index.probe(hashes, columns,
+                                        self._payload().columns())
+        # Stored rows the delta touches, with their new weights.
+        slots, which = np.unique(slot, return_inverse=True)
+        touched = np.zeros(len(slots), np.int64)
+        np.add.at(touched, which, weights[found])
+        old = self._weights[slots]
+        touched += old
+        # Unseen rows, grouped by content.
+        fresh = np.ones(len(delta), bool)
+        fresh[found] = False
+        fresh = np.flatnonzero(fresh)
+        if len(fresh) < len(delta):
+            columns = [col.take(fresh) for col in columns]
+        heads, group = distinct_rows(hashes[fresh], columns)
+        added = np.zeros(len(heads), np.int64)
+        np.add.at(added, group, weights[fresh])
+        bad = int((touched < 0).sum() + (added < 0).sum())
+        if bad:
+            raise IvmError(
+                f"push would leave {bad} rows of stream {self.name!r} "
+                f"with negative multiplicity (deleting absent rows?)"
+            )
+        self._weights[slots] = touched
+        self._zeros += int((touched == 0).sum() - (old == 0).sum())
+        heads = heads[added > 0]
+        if len(heads):
+            self._append([col.take(heads) for col in columns],
+                          added[added > 0], hashes[fresh[heads]])
+        if 2 * self._zeros >= self._n > 0:
+            self._compress()
+
+    def _append(self, columns: list[Column], weights: np.ndarray,
+                hashes: np.ndarray) -> None:
+        n, k = self._n, len(weights)
+        if n + k > len(self._weights):
+            cap = max(2 * n, n + k)
+            self._values = [_grown(v, n, cap) for v in self._values]
+            self._masks = [_grown(m, n, cap) for m in self._masks]
+            self._weights = _grown(self._weights, n, cap)
+        for j, col in enumerate(columns):
+            if col.values.dtype == object != self._values[j].dtype:
+                # An oversized int moves the column to object storage.
+                self._values[j] = self._values[j].astype(object)
+            self._values[j][n:n + k] = col.values
+            self._masks[j][n:n + k] = col.mask
+        self._weights[n:n + k] = weights
+        self._index = self._index.insert(hashes, np.arange(n, n + k))
+        self._n = n + k
+
+    def _compress(self) -> None:
+        """Drop the zero-weight rows (buffers shrink to the live rows)."""
+        keep = self._weights[:self._n] != 0
+        self._values = [v[:self._n][keep] for v in self._values]
+        self._masks = [m[:self._n][keep] for m in self._masks]
+        self._weights = self._weights[:self._n][keep]
+        self._index = self._index.keep(keep)
+        self._n = len(self._weights)
+        self._zeros = 0
+        metrics.counter("ivm.stream.compactions").inc()
 
     # -- view construction ------------------------------------------------
 
@@ -199,6 +267,13 @@ class StreamTable:
     def _unregister(self, view: "MaterializedView") -> None:
         if view in self._views:
             self._views.remove(view)
+
+
+def _grown(buffer: np.ndarray, n: int, capacity: int) -> np.ndarray:
+    """A ``capacity``-sized buffer holding ``buffer[:n]``."""
+    out = np.empty(capacity, buffer.dtype)
+    out[:n] = buffer[:n]
+    return out
 
 
 class _Spec:
@@ -344,7 +419,7 @@ class MaterializedView:
         """The maintained result as a plain table (cached until the next
         delta), with any ``order_by``/``limit`` read options applied."""
         if self._table is None:
-            out = self.output().to_table()
+            out = self.output().expand()
             if self.order_by is not None:
                 col, descending = self.order_by
                 out = out.order_by(col, descending=descending)

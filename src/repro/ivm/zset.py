@@ -6,10 +6,11 @@ special case where every weight is ``+1``; a batch of changes (a *delta*)
 is a Z-set whose weights are ``+1`` for inserted rows and ``-1`` for
 deleted ones.  State mutation is algebraic summation: applying a delta is
 ``state + delta`` (:meth:`~ZSet.concat` for many parts at once) followed
-by :meth:`~ZSet.consolidate`, which sums weights of equal rows
-(``Table.row_codes`` is the equality key, nulls matching nulls) and
-physically drops rows whose weights annihilate to zero — the DBSP "Ghost
-property" (SNIPPETS.md Snippet 3).
+by :meth:`~ZSet.consolidate`, which sums weights of equal rows (grouped by
+the content row hash of :mod:`repro.table.hashing`, confirmed by exact
+equality with nulls matching nulls) and physically drops rows whose
+weights annihilate to zero — the DBSP "Ghost property" (SNIPPETS.md
+Snippet 3).
 
 Payloads ride the trusted-construction path throughout: every operation
 derives new tables from already-validated column arrays via ``take`` /
@@ -29,7 +30,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.errors import IvmError
-from repro.table import Schema, Table
+from repro.table import Schema, Table, hash_rows
+from repro.table.hashing import distinct_rows
 
 
 class ZSet:
@@ -144,15 +146,14 @@ class ZSet:
         n = len(self)
         if n == 0:
             return self
-        codes = self.payload.row_codes()
-        totals = np.zeros(int(codes.max()) + 1, dtype=np.int64)
-        np.add.at(totals, codes, self.weights)
-        _uniq, first = np.unique(codes, return_index=True)
-        keep = first[totals[codes[first]] != 0]
-        keep.sort()
-        if len(keep) == n and np.array_equal(totals[codes], self.weights):
+        columns = self.payload.columns()
+        heads, group = distinct_rows(hash_rows(columns), columns)
+        totals = np.zeros(len(heads), dtype=np.int64)
+        np.add.at(totals, group, self.weights)
+        live = totals != 0
+        if len(heads) == n and live.all():
             return self                   # already consolidated
-        return ZSet(self.payload._take(keep), totals[codes[keep]])
+        return ZSet(self.payload._take(heads[live]), totals[live])
 
     # -- row kernels (weights ride along) ---------------------------------
 
@@ -178,18 +179,22 @@ class ZSet:
         is negative — a negative multiplicity has no table reading, and
         surfacing it beats silently clamping a bookkeeping bug.
         """
-        flat = self.consolidate()
-        if len(flat) == 0:
-            return flat.payload
-        if (flat.weights < 0).any():
-            bad = int((flat.weights < 0).sum())
+        return self.consolidate().expand()
+
+    def expand(self) -> Table:
+        """:meth:`to_table` of an already consolidated Z-set: each row
+        repeated per its weight, without consolidating again."""
+        if len(self) == 0:
+            return self.payload
+        if (self.weights < 0).any():
+            bad = int((self.weights < 0).sum())
             raise IvmError(
                 f"cannot materialize z-set with {bad} negative-weight rows"
             )
-        if (flat.weights == 1).all():
-            return flat.payload
-        return flat.payload._take(
-            np.repeat(np.arange(len(flat)), flat.weights)
+        if (self.weights == 1).all():
+            return self.payload
+        return self.payload._take(
+            np.repeat(np.arange(len(self)), self.weights)
         )
 
     def same_zset(self, other: "ZSet") -> bool:

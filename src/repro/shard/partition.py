@@ -10,10 +10,10 @@ partitioning on a subset of the group keys means no group straddles a
 shard boundary, and any partitioner co-locates duplicate rows for
 ``distinct``.
 
-- :class:`HashPartitioner` — splitmix64-style mixing of per-column value
-  hashes (crc32 for strings, bit-mix for ints, floats normalized so ``2``
-  and ``2.0`` land together and ``-0.0`` with ``0.0``); nulls form their
-  own bucket.  Works for any key columns; the default.
+- :class:`HashPartitioner` — the content row hash of
+  :mod:`repro.table.hashing` (``2`` and ``2.0`` land together, ``-0.0``
+  with ``0.0``, nulls in their own bucket) modulo the shard count.  Works
+  for any key columns; the default.
 - :class:`RangePartitioner` — quantile bounds over one numeric key, so
   shards are contiguous key ranges (cheap pruning for range predicates).
   Both sides of a join must share the *same* bounds to co-locate.
@@ -28,7 +28,6 @@ can rebuild the exact partitioning on restore.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -36,113 +35,16 @@ import numpy as np
 
 from repro.errors import ShardError
 from repro.table import Column, Table
-
-#: Hash assigned to every null key cell (any fixed odd constant works).
-NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
-#: Rolling multi-column combine multiplier (golden-ratio prime).
-_COMBINE = np.uint64(0xBF58476D1CE4E5B9)
-_SEED = np.uint64(0x8A5CD789635D2DFF)
-
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_NAN_HASH = np.uint64(0x5851F42D4C957F2D)
-_POS_INF_HASH = np.uint64(0x14057B7EF767814F)
-_NEG_INF_HASH = np.uint64(0xDA942042E4DD58B5)
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Splitmix64 finalizer, vectorized (uint64 wrap-around arithmetic)."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= _MIX_1
-        x ^= x >> np.uint64(27)
-        x *= _MIX_2
-        x ^= x >> np.uint64(31)
-    return x
-
-
-def _hash_object(v: Any) -> int:
-    """Deterministic 64-bit pre-hash of one python value (str columns, and
-    the object-dtype fallback that holds oversized ints)."""
-    if isinstance(v, str):
-        data = v.encode("utf-8")
-        # Two crc32 passes (second one salted) widen to 64 bits.
-        return zlib.crc32(data) | (zlib.crc32(data, 0x9747B28C) << 32)
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, int):
-        return v & _MASK64
-    if isinstance(v, float):
-        return _hash_float_scalar(v)
-    raise ShardError(f"cannot hash partition key value of type {type(v)!r}")
-
-
-def _hash_float_scalar(v: float) -> int:
-    if v != v:
-        return int(_NAN_HASH)
-    if v == float("inf"):
-        return int(_POS_INF_HASH)
-    if v == float("-inf"):
-        return int(_NEG_INF_HASH)
-    if v == int(v):
-        return int(v) & _MASK64  # integral floats hash like the int
-    return np.float64(v).view(np.uint64).item()
-
-
-def hash_column(col: Column) -> np.ndarray:
-    """Content hash of every cell as ``uint64``; nulls get :data:`NULL_HASH`.
-
-    Equal logical values hash equal across dtypes that can compare equal
-    (``int`` vs integral ``float``) and across processes — this is the
-    co-location invariant every sharded kernel relies on.
-    """
-    n = len(col)
-    values, mask = col.values, col.mask
-    if values.dtype == object:
-        pre = np.fromiter(
-            (0 if m else _hash_object(v)
-             for v, m in zip(values.tolist(), mask.tolist())),
-            dtype=np.uint64, count=n,
-        )
-        out = _mix64(pre)
-    elif col.dtype == "float":
-        out = _hash_float_array(values)
-    else:  # int64 / bool storage
-        out = _mix64(values.astype(np.int64).view(np.uint64))
-    out[mask] = NULL_HASH
-    return out
-
-
-def _hash_float_array(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.float64, copy=True)
-    v[v == 0.0] = 0.0  # collapse -0.0 into +0.0
-    finite = np.isfinite(v)
-    integral = finite & (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
-    pre = np.empty(len(v), dtype=np.uint64)
-    with np.errstate(invalid="ignore"):
-        pre[integral] = v[integral].astype(np.int64).view(np.uint64)
-    odd = ~integral
-    if odd.any():
-        bits = v[odd].view(np.uint64).copy()
-        sub = v[odd]
-        bits[np.isnan(sub)] = _NAN_HASH
-        bits[sub == np.inf] = _POS_INF_HASH
-        bits[sub == -np.inf] = _NEG_INF_HASH
-        pre[odd] = bits
-    return _mix64(pre)
+from repro.table.hashing import NULL_HASH, hash_column  # noqa: F401 - re-exported
+from repro.table.hashing import hash_rows as _hash_rows
 
 
 def hash_rows(columns: Sequence[Column]) -> np.ndarray:
-    """Rolling combine of per-column hashes into one ``uint64`` per row."""
+    """:func:`repro.table.hashing.hash_rows` over partition key columns;
+    raises :class:`~repro.errors.ShardError` when there are none."""
     if not columns:
         raise ShardError("hash_rows needs at least one key column")
-    h = np.full(len(columns[0]), _SEED, dtype=np.uint64)
-    for col in columns:
-        with np.errstate(over="ignore"):
-            h = _mix64(h * _COMBINE ^ hash_column(col))
-    return h
+    return _hash_rows(columns)
 
 
 def _key_columns(table: Table, keys: Sequence[str]) -> list[Column]:

@@ -3,10 +3,12 @@
 :meth:`repro.sql.Database.create_view` lands here: a :class:`Query` over
 registered :class:`~repro.ivm.StreamTable`s is lowered through the same
 logical-plan front end the batch executor uses
-(:func:`repro.sql.plan.compile_query`) and the plan is walked into a
-:class:`~repro.ivm.ViewBuilder` recipe — scan → join* → filter →
-(group-by → project | project) — materialized with ORDER BY / LIMIT as
-read-time options.  The batch executor over stream snapshots is the
+(:func:`repro.sql.plan.compile_query`), optimized without join
+reordering (filters pushed below joins, scans pruned), and walked into a
+:class:`~repro.ivm.ViewBuilder` recipe — scans, filters and joins whose
+inputs are narrowed to the columns used above them, then (group-by →
+project | project) — materialized with ORDER BY / LIMIT as read-time
+options.  The batch executor over stream snapshots is the
 semantics; ``db.query(sql)`` and ``db.create_view(...).table()`` are
 property-tested equal row-for-row.  Because both sides share one plan
 vocabulary, :meth:`~repro.sql.Database.create_view` also registers the
@@ -34,7 +36,8 @@ from __future__ import annotations
 from repro.errors import IvmError, ParseError
 from repro.ivm import MaterializedView, StreamTable, ViewBuilder
 from repro.sql.ast import ColumnRef, Literal, Query
-from repro.sql.expr import AggregateItems, WhereMask
+from repro.sql.expr import AggregateItems, WhereMask, expr_columns
+from repro.sql.optimizer import optimize
 from repro.sql.plan import (
     Aggregate,
     Filter,
@@ -46,6 +49,7 @@ from repro.sql.plan import (
     Sort,
     compile_query,
     describe,
+    output_names,
     output_schema,
 )
 
@@ -80,6 +84,8 @@ def compile_view(name: str, query: Query,
         # Plan-time SELECT-list validation mirrors the batch oracle;
         # surface it under the view-compilation error type.
         raise IvmError(f"view {name!r}: {exc}") from exc
+    # Filters below joins and pruned scans keep the join traces small.
+    plan, _notes = optimize(plan, catalog, reorder=False)
 
     # Peel read-time options: LIMIT caps the top, and the Sort node (above
     # an Aggregate, or below the Project for plain queries) becomes the
@@ -94,7 +100,7 @@ def compile_view(name: str, query: Query,
         order_by = (plan.child.column, plan.child.descending)
         plan = Project(plan.child.child, plan.items)
 
-    builder = _compile_node(name, plan, streams, catalog)
+    builder = _compile_node(name, plan, None, streams, catalog)
     view = builder.materialize(name, order_by=order_by, limit=limit)
     if order_by is not None and order_by[0] not in view.schema:
         view.detach()
@@ -105,34 +111,82 @@ def compile_view(name: str, query: Query,
     return view
 
 
-def _compile_node(name: str, node: Node, streams: dict[str, StreamTable],
+def _compile_node(name: str, node: Node, required: set[str] | None,
+                  streams: dict[str, StreamTable],
                   catalog: _StreamCatalog) -> ViewBuilder:
-    """Walk a logical plan into a ViewBuilder recipe."""
+    """Walk an optimized logical plan into a ViewBuilder recipe.
+
+    ``required`` is the set of ``node``'s output columns the plan above
+    reads (None = all): each join input is narrowed to it, so a join
+    trace keeps only the columns something uses.
+    """
     if isinstance(node, Scan):
-        return streams[node.table].view()
+        builder = streams[node.table].view()
+        if node.columns is None:
+            return builder
+        return builder.project(list(node.columns))
     if isinstance(node, Join):
-        if not isinstance(node.right, Scan):
-            raise IvmError(
-                f"view {name!r}: unsupported join input "
-                f"{describe(node.right)}"
-            )
-        builder = _compile_node(name, node.left, streams, catalog)
-        return builder.join(streams[node.table],
-                            on=[(node.left_col, node.right_col)])
+        # Right-side columns take the plan's output names before the
+        # join, as the batch executor does, so names stay the plan's even
+        # when pruning dropped the left column they collided with.
+        renames = dict(node.renames)
+        left_req = right_req = None
+        if required is not None:
+            left_names = set(output_names(node.left, catalog))
+            inverse = {out: src for src, out in node.renames}
+            left_req = {r for r in required if r in left_names}
+            right_req = {inverse[r] for r in required if r in inverse}
+        left = _join_input(name, node.left, left_req, node.left_col, {},
+                           streams, catalog)
+        right = _join_input(name, node.right, right_req, node.right_col,
+                            renames, streams, catalog)
+        return left.join(right, on=[
+            (node.left_col, renames.get(node.right_col, node.right_col))])
     if isinstance(node, Filter):
         # compile_query already rejected aggregates and unknown columns
         # in the predicate, before any state exists.
-        builder = _compile_node(name, node.child, streams, catalog)
+        child_req = (None if required is None
+                     else required | expr_columns(node.predicate))
+        builder = _compile_node(name, node.child, child_req, streams,
+                                catalog)
         return builder.filter(WhereMask(node.predicate))
     if isinstance(node, Aggregate):
-        builder = _compile_node(name, node.child, streams, catalog)
+        child_req = set(node.group_by)
+        for item in node.items:
+            child_req |= expr_columns(item.expr)
+        builder = _compile_node(name, node.child, child_req, streams,
+                                catalog)
         return _compile_grouped(name, node, builder, catalog)
     if isinstance(node, Project):
-        builder = _compile_node(name, node.child, streams, catalog)
+        child_req = set()
+        for item in node.items:
+            child_req |= expr_columns(item.expr)
+        builder = _compile_node(name, node.child, child_req, streams,
+                                catalog)
         return _compile_projection(name, node, builder)
     raise IvmError(
         f"view {name!r}: unsupported plan node {describe(node)}"
     )
+
+
+def _join_input(name: str, node: Node, required: set[str] | None,
+                key: str, renames: dict[str, str],
+                streams: dict[str, StreamTable],
+                catalog: _StreamCatalog) -> ViewBuilder:
+    """One join input, narrowed to its key and the ``required`` columns,
+    with ``renames`` applied."""
+    if required is not None:
+        required = required | {key}
+    if isinstance(node, Scan):
+        node = Scan(node.table)     # one projection prunes and renames
+    builder = _compile_node(name, node, required, streams, catalog)
+    names = output_names(node, catalog)
+    keep = [n for n in names if required is None or n in required]
+    rename = {src: out for src, out in renames.items()
+              if src != out and src in keep}
+    if keep == names and not rename:
+        return builder
+    return builder.project(keep, rename)
 
 
 def _compile_grouped(name: str, node: Aggregate, builder: ViewBuilder,

@@ -284,10 +284,9 @@ def factorize_objects(values: np.ndarray,
     """
     if table is None:
         table = {}
-    out = np.empty(len(values), dtype=np.int64)
     setdefault = table.setdefault
-    for i, v in enumerate(values.tolist()):
-        out[i] = setdefault(v, len(table))
+    out = np.array([setdefault(v, len(table)) for v in values.tolist()],
+                   dtype=np.int64)
     return out, len(table)
 
 

@@ -526,8 +526,7 @@ class Table:
         """Dense row-equality codes: equal rows (nulls matching nulls, the
         GROUP BY convention) share a code in ``[0, distinct rows)``.
 
-        The whole-row factorization under :meth:`distinct`, and the
-        consolidation key of the :mod:`repro.ivm` Z-set layer.
+        The whole-row factorization under :meth:`distinct`.
         """
         if not self._columns:
             raise SchemaError("row_codes needs at least one column")

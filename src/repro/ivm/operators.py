@@ -32,9 +32,9 @@ import numpy as np
 
 from repro.errors import IvmError, SchemaError
 from repro.obs import metrics
-from repro.table import HashIndex, Schema, Table, hash_rows
-from repro.table.aggregate import AGGREGATES, exact_sums, lookup, output_fields
-from repro.ivm.zset import ZSet
+from repro.table import Column, HashIndex, Schema, Table, hash_rows
+from repro.table.aggregate import AGGREGATES, lookup, output_fields
+from repro.ivm.zset import Ledger, ZSet
 
 #: Aggregate functions the incremental group-by supports: all of the
 #: aggregate algebra's (:mod:`repro.table.aggregate`).
@@ -46,23 +46,6 @@ GROUP_AGGREGATES = tuple(AGGREGATES)
 #: accumulate more than a constant factor of garbage.
 _COMPACT_GROWTH = 2
 _COMPACT_FLOOR = 64
-
-#: Delta size from which the group-by resolves rows to groups through
-#: numpy row codes instead of a python dict.
-_BULK_FOLD_MIN = 64
-
-
-def _key_tuples(table: Table, key_names: Sequence[str]) -> list[tuple[Any, ...]]:
-    """Python key tuple per row (``None`` elements mark nulls)."""
-    cols = [table.column(name) for name in key_names]
-    return list(zip(*cols)) if cols else [()] * table.num_rows
-
-
-def _any_null(table: Table, key_names: Sequence[str]) -> np.ndarray:
-    out = np.zeros(table.num_rows, dtype=bool)
-    for name in key_names:
-        out |= table.null_mask(name)
-    return out
 
 
 class Trace:
@@ -110,27 +93,25 @@ class Trace:
         return (f"{self._compacted_len} consolidated + "
                 f"{self._len - self._compacted_len} pending rows")
 
-    def probe(self, delta: ZSet, key_names: Sequence[str]
+    def probe(self, keys: Sequence[Column], hashes: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs ``(delta row, trace row)`` whose keys (``key_names`` in
-        the delta, :attr:`key_names` here) are equal; a null key equals
-        nothing here, since the trace stores none."""
+        """Pairs ``(delta row, trace row)`` whose keys are equal, for a
+        delta's key columns ``keys`` and their row ``hashes``; a null key
+        equals nothing here, since the trace stores none."""
         if not self._len:
             return np.empty(0, np.intp), np.empty(0, np.intp)
-        keys = delta.payload.project(key_names).columns()
         return self._index.probe(
-            hash_rows(keys), keys,
-            self.zset.payload.project(self.key_names).columns())
+            hashes, keys, self.zset.payload.project(self.key_names).columns())
 
-    def _key_hashes(self, part: ZSet) -> np.ndarray:
-        return hash_rows(part.payload.project(self.key_names).columns())
-
-    def update(self, delta: ZSet) -> None:
+    def update(self, delta: ZSet, keys: Sequence[Column],
+               hashes: np.ndarray) -> None:
+        """Append ``delta``, whose key columns are ``keys``, hashing to
+        ``hashes``."""
         if len(delta) == 0:
             return
-        nulls = _any_null(delta.payload, self.key_names)
+        nulls = np.any([col.mask for col in keys], axis=0)
         if nulls.any():
-            delta = delta.compress(~nulls)
+            delta, hashes = delta.compress(~nulls), hashes[~nulls]
             if len(delta) == 0:
                 return
         start = self._len
@@ -139,7 +120,7 @@ class Trace:
         else:
             self._parts = [delta]
         self._index = self._index.insert(
-            self._key_hashes(delta), np.arange(start, start + len(delta)))
+            hashes, np.arange(start, start + len(delta)))
         self._len += len(delta)
         metrics.counter("ivm.trace.rows").inc(len(delta))
         self._maybe_compact()
@@ -155,7 +136,8 @@ class Trace:
         self._parts = [flat]
         self._len = self._compacted_len = len(flat)
         if len(flat) < n:
-            self._index = HashIndex.build(self._key_hashes(flat))
+            self._index = HashIndex.build(hash_rows(
+                flat.payload.project(self.key_names).columns()))
         metrics.counter("ivm.trace.compactions").inc()
 
 
@@ -340,19 +322,15 @@ class JoinNode(Node):
         self._right_trace = Trace(right.schema, self.right_key_names)
 
     def delta(self, changes: dict) -> ZSet:
-        dl = self.left.delta(changes)
-        dr = self.right.delta(changes)
-        parts: list[ZSet] = []
-        if len(dl):
-            # ΔA ⋈ B_old: right trace not yet advanced.
-            parts.append(self._probe(dl, self._right_trace,
-                                     delta_on_left=True))
-            self._left_trace.update(dl)
-        if len(dr):
-            # A_new ⋈ ΔB: left trace already includes ΔA.
-            parts.append(self._probe(dr, self._left_trace,
-                                     delta_on_left=False))
-            self._right_trace.update(dr)
+        # ΔA ⋈ B_old, then A_new ⋈ ΔB: the right trace has not advanced
+        # when ΔA probes it, and the left one includes ΔA when ΔB probes.
+        sides = ((self.left, self._left_trace, self._right_trace, True),
+                 (self.right, self._right_trace, self._left_trace, False))
+        parts = []
+        for node, own, other, on_left in sides:
+            d = node.delta(changes)
+            if len(d):
+                parts.append(self._advance(d, own, other, on_left))
         parts = [p for p in parts if len(p)]
         if not parts:
             return self._empty()
@@ -367,14 +345,18 @@ class JoinNode(Node):
         return (f"join {on} (left trace: {self._left_trace.describe()}; "
                 f"right trace: {self._right_trace.describe()})")
 
-    def _probe(self, delta: ZSet, trace: Trace, *,
-               delta_on_left: bool) -> ZSet:
-        d_idx, t_idx = trace.probe(delta, self.left_key_names
-                                   if delta_on_left else self.right_key_names)
+    def _advance(self, delta: ZSet, own: Trace, other: Trace,
+                 delta_on_left: bool) -> ZSet:
+        """Probe ``other`` with one side's ``delta``, then append the delta
+        to that side's trace ``own``; its keys are hashed once, for both."""
+        keys = delta.payload.project(own.key_names).columns()
+        hashes = hash_rows(keys)
+        d_idx, t_idx = other.probe(keys, hashes)
+        own.update(delta, keys, hashes)
         if not len(d_idx):
             return self._empty()
         dz = delta.take(d_idx)
-        tz = trace.zset.take(t_idx)
+        tz = other.zset.take(t_idx)
         lz, rz = (dz, tz) if delta_on_left else (tz, dz)
         cols = tuple(lz.payload.columns()) + tuple(
             rz.payload.columns()[j] for j in self.kept_right_idx
@@ -386,20 +368,21 @@ class JoinNode(Node):
 class GroupByNode(Node):
     """Incremental group-by over running per-group aggregate state.
 
-    No trace: the node folds every delta row directly into a small state
-    record per live group — net row multiplicity, plus per aggregate the
-    retractable fold state of the aggregate algebra
-    (:mod:`repro.table.aggregate`; docs/table.md, "Aggregate semantics").
-    A batch therefore costs O(delta rows x aggregates) to absorb plus
-    O(touched groups) to emit, independent of both table size and group
-    sizes — except that a min/max whose extreme was retracted rescans
-    that group's distinct values once (``ivm.group.extreme_rescans``).
+    No trace: the groups are a :class:`~repro.ivm.zset.Ledger` over the
+    key columns, whose weight is each group's net row count, and each
+    live group's slot holds the retractable fold state of every aggregate
+    (:mod:`repro.table.aggregate`; docs/table.md, "Aggregate semantics")
+    plus the row it last emitted.  A batch therefore costs O(delta rows x
+    aggregates) to absorb plus O(touched groups) to emit, independent of
+    both table size and group sizes — except that a min/max whose extreme
+    was retracted rescans that group's distinct values once
+    (``ivm.group.extreme_rescans``).
 
-    For each key the delta touches, the node emits ``(old_row, -1),
-    (new_row, +1)`` against its cached last output — the standard DBSP
-    retraction pattern.  A group whose net multiplicity returns to zero
-    drops its state, so cancelled float residue never leaks into a reborn
-    group.
+    For each group the delta touches, the node emits ``(old_row, -1),
+    (new_row, +1)`` against its last output — the standard DBSP
+    retraction pattern.  A group whose weight returns to zero drops its
+    fold states, and one that comes back starts from fresh ones, so
+    cancelled float residue never leaks into a reborn group.
     """
 
     def __init__(self, input_node: Node, keys: Sequence[str],
@@ -414,148 +397,109 @@ class GroupByNode(Node):
         self.schema = Schema(fields)
         self._fns = [lookup(fn) for fn, _col, _out in self._aggs]
         self.streams = input_node.streams
-        # key tuple -> [net_rows, state_0, state_1, ...] with one fold
-        # state per aggregate.
-        self._groups: dict[tuple[Any, ...], list[Any]] = {}
-        self._out_cache: dict[tuple[Any, ...], tuple[Any, ...]] = {}
-
-    def _fresh_state(self) -> list[Any]:
-        return [0] + [fn.state() for fn in self._fns]
+        self._groups = Ledger(input_node.schema.project(self.keys),
+                              "group_by")
+        # Per group slot: [fold state per aggregate..., row last emitted],
+        # or None once the group's weight is zero.
+        self._slots: list[list[Any] | None] = []
 
     def delta(self, changes: dict) -> ZSet:
         d = self.input.delta(changes)
         if len(d) == 0:
             return self._empty()
-        affected = self._fold(d)
+        payload, w = d.payload, d.weights
+        slot, touched, old, new = self._groups.add(
+            payload.project(self.keys).columns(), w)
+        slots = self._slots
+        slots += [None] * (len(self._groups) - len(slots))
+        for g in touched[old == 0].tolist():
+            slots[g] = [fn.state() for fn in self._fns] + [None]
+        stored = slot >= 0
+        if not stored.all():
+            # Rows of unseen groups that netted to zero: no group to fold.
+            payload, w, slot = payload.filter(stored), w[stored], slot[stored]
+        entries = [slots[g] for g in touched.tolist()]
+        self._fold(payload, w, np.searchsorted(touched, slot), entries)
         metrics.counter("ivm.group.delta_rows").inc(len(d))
-        metrics.counter("ivm.group.touched").inc(len(affected))
+        metrics.counter("ivm.group.touched").inc(len(touched))
+        keys = [c.to_pylist() for c in self._groups.columns(touched)]
+        keys = list(zip(*keys)) if keys else [()] * len(touched)
         rows: list[tuple[Any, ...]] = []
         weights: list[int] = []
-        for key in affected:
-            old_row = self._out_cache.get(key)
-            new_row = self._group_row(key)
-            if old_row == new_row:
-                continue
-            if old_row is not None:
-                rows.append(old_row)
-                weights.append(-1)
-            if new_row is not None:
-                rows.append(new_row)
-                weights.append(1)
-                self._out_cache[key] = new_row
-            else:
-                self._out_cache.pop(key, None)
+        for g, entry, key, alive in zip(touched.tolist(), entries, keys,
+                                        (new > 0).tolist()):
+            new_row = (key + tuple(fold.value() for fold in entry[:-1])
+                       if alive else None)
+            if entry[-1] != new_row:
+                for row, sign in ((entry[-1], -1), (new_row, 1)):
+                    if row is not None:
+                        rows.append(row)
+                        weights.append(sign)
+                entry[-1] = new_row
+            if not alive:
+                slots[g] = None
+        if self._groups.compact():
+            self._slots = [entry for entry in slots if entry is not None]
         if not rows:
             return self._empty()
         out_payload = Table.from_rows(rows, schema=self.schema)
         return ZSet(out_payload, np.asarray(weights, dtype=np.int64))
 
-    def _fold(self, d: ZSet) -> list[tuple[Any, ...]]:
-        """Fold a delta into the group states; returns the touched keys.
-
-        Rows resolve to groups once (numpy row codes for large deltas, a
-        dict for small ones).  Linear aggregates pre-aggregate the delta
-        per group and add it in one step per touched group; min/max fold
-        row at a time.  Delta sums add in row order (docs/ivm.md, the
-        float caveat)."""
-        payload, w = d.payload, d.weights
-        if len(d) >= _BULK_FOLD_MIN and self.keys:
-            codes = payload.project(self.keys).row_codes()
-            _uniq, first, inv = np.unique(codes, return_index=True,
-                                          return_inverse=True)
-            rows = np.argsort(first, kind="stable")
-            key_cols = [payload.column(k) for k in self.keys]
-            keys = [tuple(col[i] for col in key_cols)
-                    for i in first[rows].tolist()]
-            inv = np.argsort(rows)[inv]         # ids in appearance order
-        else:
-            ids: dict[tuple[Any, ...], int] = {}
-            inv = np.array([ids.setdefault(key, len(ids)) for key
-                            in _key_tuples(payload, self.keys)], np.int64)
-            keys = list(ids)
-        groups = self._groups
-        states = []
-        for key, net in zip(keys, exact_sums(w, inv, len(keys)).tolist()):
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = self._fresh_state()
-            state[0] += net
-            states.append(state)
-        for slot, (fn, (_name, name, _out)) in enumerate(
-                zip(self._fns, self._aggs), start=1):
+    def _fold(self, payload: Table, w: np.ndarray, gids: np.ndarray,
+              states: list[list[Any]]) -> None:
+        """Fold each row ``i`` into its group's fold states,
+        ``states[gids[i]]``.  Linear aggregates pre-aggregate the rows per
+        group and add in one step per group; min/max fold row at a time.
+        Sums add in row order (docs/ivm.md, the float caveat)."""
+        for i, (fn, (_name, name, _out)) in enumerate(
+                zip(self._fns, self._aggs)):
             col = (payload.columns()[payload.schema.index_of(name)]
                    if fn.takes_column else None)
             if fn.linear:
                 for state, n, total in zip(
-                        states, *fn.delta(col, w, inv, len(keys))):
-                    state[slot].add(n, total)
+                        states, *fn.delta(col, w, gids, len(states))):
+                    state[i].add(n, total)
                 continue
-            folds = [state[slot].fold for state in states]
-            for v, g, wi in zip(col.to_pylist(), inv.tolist(), w.tolist()):
+            folds = [state[i].fold for state in states]
+            for v, g, wi in zip(col.to_pylist(), gids.tolist(), w.tolist()):
                 if v is not None:
                     folds[g](v, wi)
-        return keys
-
-    def _group_row(self, key: tuple[Any, ...]) -> tuple[Any, ...] | None:
-        """Current output row from running state; ``None`` = group gone."""
-        state = self._groups.get(key)
-        if state is None:
-            return None
-        if state[0] <= 0:
-            # Net multiplicity zero: the group is gone and its state must
-            # go with it (float accumulators would otherwise carry residue
-            # into a later rebirth of the same key).
-            del self._groups[key]
-            return None
-        return key + tuple(fold.value() for fold in state[1:])
 
     def describe(self) -> str:
         aggs = ", ".join(f"{fn}({col or '*'}) AS {out}"
                          for fn, col, out in self._aggs)
         return (f"group_by {', '.join(self.keys)}: {aggs} "
-                f"({len(self._groups)} live groups)")
+                f"({self._groups.live} live groups)")
 
 
 class DistinctNode(Node):
     """Incremental distinct: emit a row only when its presence flips.
 
-    Net multiplicities live in a dict keyed by full row tuple; a delta
-    entry that moves a row across the zero boundary emits ``+1`` / ``-1``,
-    everything else is absorbed silently (the DBSP ``distinct`` is the one
-    non-linear unary operator, but its state is just this counter map).
+    Net multiplicities live in a :class:`~repro.ivm.zset.Ledger` over full
+    rows; a row whose weight leaves zero emits ``+1``, one whose weight
+    returns to zero emits ``-1``, and everything else is absorbed silently
+    (the DBSP ``distinct`` is the one non-linear unary operator, but its
+    state is just this ledger).
     """
 
     def __init__(self, input_node: Node) -> None:
         self.input = input_node
         self.schema = input_node.schema
         self.streams = input_node.streams
-        self._net: dict[tuple[Any, ...], int] = {}
+        self._rows = Ledger(self.schema, "distinct")
 
     def delta(self, changes: dict) -> ZSet:
         d = self.input.delta(changes)
         if len(d) == 0:
             return self._empty()
-        rows: list[tuple[Any, ...]] = []
-        weights: list[int] = []
-        for row, w in d.consolidate().entries():
-            if not w:
-                continue
-            old = self._net.get(row, 0)
-            new = old + w
-            if new:
-                self._net[row] = new
-            else:
-                self._net.pop(row, None)
-            if old <= 0 < new:
-                rows.append(row)
-                weights.append(1)
-            elif new <= 0 < old:
-                rows.append(row)
-                weights.append(-1)
-        if not rows:
-            return self._empty()
-        payload = Table.from_rows(rows, schema=self.schema)
-        return ZSet(payload, np.asarray(weights, dtype=np.int64))
+        _slot, touched, old, new = self._rows.add(d.payload.columns(),
+                                                  d.weights)
+        flips = (old == 0) != (new == 0)
+        out = ZSet(Table.from_columns(self.schema,
+                                      self._rows.columns(touched[flips])),
+                   np.where(new[flips] > 0, 1, -1))
+        self._rows.compact()
+        return out
 
     def describe(self) -> str:
-        return f"distinct ({len(self._net)} live rows)"
+        return f"distinct ({self._rows.live} live rows)"

@@ -1,16 +1,15 @@
 """Stream tables and materialized views.
 
 A :class:`StreamTable` is a continuously-mutating table: its net state is
-a Z-set, kept consolidated as a ledger of distinct rows, weights and a
-row-hash index (docs/ivm.md, "State on arrays"), and
-:meth:`~StreamTable.insert_rows` / :meth:`~StreamTable.delete_rows`
-push ``(row, ±1)`` deltas through every :class:`MaterializedView`
-registered over it.  A view is a compiled tree of
-:mod:`~repro.ivm.operators` nodes; each push advances the tree by one
-delta and appends the output delta to the view's pending parts, so the
-cost of an update is proportional to the delta (plus touched groups),
-never to the base table.  Reading :meth:`MaterializedView.table`
-consolidates lazily and caches.
+a Z-set, kept consolidated in a :class:`~repro.ivm.zset.Ledger` (docs/ivm.md,
+"State on arrays"), and :meth:`~StreamTable.insert_rows` /
+:meth:`~StreamTable.delete_rows` push ``(row, ±1)`` deltas through every
+:class:`MaterializedView` registered over it.  A view is a compiled tree
+of :mod:`~repro.ivm.operators` nodes; each push advances the tree by one
+delta and adds the output delta to the view's own ledger, so the cost of
+an update is proportional to the delta (plus touched groups), never to
+the base table.  Reading :meth:`MaterializedView.table` caches until the
+next change.
 
 Views are *composed*, not queried: build one with the fluent
 :class:`ViewBuilder` (``stream.view().filter(...).join(...).group_by(...)
@@ -29,14 +28,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import IvmError
 from repro.obs import metrics
 from repro.obs.instrument import timed
 from repro.resilience import faults
-from repro.table import NUMPY_DTYPES, Column, HashIndex, Schema, Table, hash_rows
-from repro.table.hashing import distinct_rows
+# hash_rows stays importable here; the ledgers hash in repro.ivm.zset.
+from repro.table import Schema, Table, hash_rows  # noqa: F401
 from repro.ivm.operators import (
     DistinctNode,
     FilterNode,
@@ -47,7 +44,7 @@ from repro.ivm.operators import (
     ScanNode,
     UnionNode,
 )
-from repro.ivm.zset import Delta, ZSet
+from repro.ivm.zset import Delta, Ledger, ZSet
 
 #: Named chaos injection point crossed at the top of every delta push.
 PUSH_POINT = "ivm.push"
@@ -61,55 +58,27 @@ class StreamTable:
     deleting rows that are not present raises
     :class:`~repro.errors.IvmError` before anything mutates.
 
-    Physically the state is a ledger in structure-of-arrays form: the
-    distinct rows seen so far (column buffers in first-appearance order,
-    appended with amortized doubling), a mutable int64 weight per row, and
-    a :class:`~repro.table.HashIndex` over the rows' content hashes.  A
-    push hashes the delta, finds the stored rows it touches (confirmed by
-    exact equality), adds the net weights in place and appends the unseen
-    rows — O(delta) work, amortized.  Rows whose weight falls to zero stay
-    until they are half the physical rows, when one compress drops them
-    all, so a stream holds at most about twice its distinct live rows plus
-    one push.
+    The state is a :class:`~repro.ivm.zset.Ledger` of the distinct rows
+    seen so far: a push nets the delta against the stored weights in
+    place and appends the unseen rows — O(delta) work, amortized — and
+    rows whose weight falls to zero stay until they are half the physical
+    rows, when one compress drops them all, so a stream holds at most
+    about twice its distinct live rows plus one push.
     """
 
     def __init__(self, data: Table | Schema | Sequence[tuple[str, str]],
                  name: str = "stream") -> None:
         table = data if isinstance(data, Table) else Table.empty(data)
         self.name = name
-        self._schema = table.schema
-        self._values = [np.empty(0, NUMPY_DTYPES[f.dtype])
-                        for f in self._schema]
-        self._masks = [np.empty(0, bool) for _ in self._schema]
-        self._weights = np.empty(0, np.int64)
-        self._n = 0
-        self._zeros = 0
-        self._index = HashIndex.build(np.empty(0, np.uint64))
+        self._rows = Ledger(table.schema, f"stream {name!r}")
         self._absorb(ZSet.from_table(table))
         self._net = table.num_rows
         self._views: list["MaterializedView"] = []
         self._snapshot: Table | None = None
 
-    def _payload(self) -> Table:
-        """Every physical row, zero weights included (views of the
-        buffers: appends write past them, and nothing rewrites a row)."""
-        n = self._n
-        return Table.from_columns(self._schema, [
-            Column(f.dtype, v[:n], m[:n])
-            for f, v, m in zip(self._schema, self._values, self._masks)])
-
-    @property
-    def _state(self) -> ZSet:
-        """The net state: the rows of nonzero weight."""
-        weights = self._weights[:self._n]
-        if not self._zeros:
-            return ZSet(self._payload(), weights.copy())
-        keep = weights != 0
-        return ZSet(self._payload().filter(keep), weights[keep])
-
     @property
     def schema(self) -> Schema:
-        return self._schema
+        return self._rows.schema
 
     @property
     def num_rows(self) -> int:
@@ -120,7 +89,7 @@ class StreamTable:
     def physical_rows(self) -> int:
         """Rows the ledger holds, zero-weight rows not yet compressed
         included."""
-        return self._n
+        return len(self._rows)
 
     def __repr__(self) -> str:
         return (f"StreamTable({self.name!r}, rows={self.num_rows}, "
@@ -129,7 +98,7 @@ class StreamTable:
     def snapshot(self) -> Table:
         """The current state as a plain table (cached until the next push)."""
         if self._snapshot is None:
-            self._snapshot = self._state.expand()
+            self._snapshot = self._rows.zset().expand()
         return self._snapshot
 
     # -- mutation ---------------------------------------------------------
@@ -187,73 +156,9 @@ class StreamTable:
             s.set(state_rows=self._net)
 
     def _absorb(self, delta: ZSet) -> None:
-        """Add ``delta`` to the ledger, or raise before mutating anything
-        when a row's weight would go negative."""
-        if len(delta) == 0:
-            return
-        columns = delta.payload.columns()
-        weights = delta.weights
-        hashes = hash_rows(columns)
-        found, slot = self._index.probe(hashes, columns,
-                                        self._payload().columns())
-        # Stored rows the delta touches, with their new weights.
-        slots, which = np.unique(slot, return_inverse=True)
-        touched = np.zeros(len(slots), np.int64)
-        np.add.at(touched, which, weights[found])
-        old = self._weights[slots]
-        touched += old
-        # Unseen rows, grouped by content.
-        fresh = np.ones(len(delta), bool)
-        fresh[found] = False
-        fresh = np.flatnonzero(fresh)
-        if len(fresh) < len(delta):
-            columns = [col.take(fresh) for col in columns]
-        heads, group = distinct_rows(hashes[fresh], columns)
-        added = np.zeros(len(heads), np.int64)
-        np.add.at(added, group, weights[fresh])
-        bad = int((touched < 0).sum() + (added < 0).sum())
-        if bad:
-            raise IvmError(
-                f"push would leave {bad} rows of stream {self.name!r} "
-                f"with negative multiplicity (deleting absent rows?)"
-            )
-        self._weights[slots] = touched
-        self._zeros += int((touched == 0).sum() - (old == 0).sum())
-        heads = heads[added > 0]
-        if len(heads):
-            self._append([col.take(heads) for col in columns],
-                          added[added > 0], hashes[fresh[heads]])
-        if 2 * self._zeros >= self._n > 0:
-            self._compress()
-
-    def _append(self, columns: list[Column], weights: np.ndarray,
-                hashes: np.ndarray) -> None:
-        n, k = self._n, len(weights)
-        if n + k > len(self._weights):
-            cap = max(2 * n, n + k)
-            self._values = [_grown(v, n, cap) for v in self._values]
-            self._masks = [_grown(m, n, cap) for m in self._masks]
-            self._weights = _grown(self._weights, n, cap)
-        for j, col in enumerate(columns):
-            if col.values.dtype == object != self._values[j].dtype:
-                # An oversized int moves the column to object storage.
-                self._values[j] = self._values[j].astype(object)
-            self._values[j][n:n + k] = col.values
-            self._masks[j][n:n + k] = col.mask
-        self._weights[n:n + k] = weights
-        self._index = self._index.insert(hashes, np.arange(n, n + k))
-        self._n = n + k
-
-    def _compress(self) -> None:
-        """Drop the zero-weight rows (buffers shrink to the live rows)."""
-        keep = self._weights[:self._n] != 0
-        self._values = [v[:self._n][keep] for v in self._values]
-        self._masks = [m[:self._n][keep] for m in self._masks]
-        self._weights = self._weights[:self._n][keep]
-        self._index = self._index.keep(keep)
-        self._n = len(self._weights)
-        self._zeros = 0
-        metrics.counter("ivm.stream.compactions").inc()
+        self._rows.add(delta.payload.columns(), delta.weights)
+        if self._rows.compact():
+            metrics.counter("ivm.stream.compactions").inc()
 
     # -- view construction ------------------------------------------------
 
@@ -267,13 +172,6 @@ class StreamTable:
     def _unregister(self, view: "MaterializedView") -> None:
         if view in self._views:
             self._views.remove(view)
-
-
-def _grown(buffer: np.ndarray, n: int, capacity: int) -> np.ndarray:
-    """A ``capacity``-sized buffer holding ``buffer[:n]``."""
-    out = np.empty(capacity, buffer.dtype)
-    out[:n] = buffer[:n]
-    return out
 
 
 class _Spec:
@@ -362,12 +260,12 @@ class ViewBuilder:
 class MaterializedView:
     """An always-fresh query result maintained by deltas.
 
-    Holds the root operator node and the accumulated output as a list of
-    pending Z-set parts: applying a push appends one part (delta-sized
-    work), and :meth:`table` consolidates lazily so a burst of pushes pays
-    consolidation once.  ``order_by``/``limit`` are read-time decorations
-    (SQL views use them); the maintained state is always the full
-    unordered result.
+    Holds the root operator node and the result as a
+    :class:`~repro.ivm.zset.Ledger`: applying a push adds the root's
+    output delta to it (delta-sized work), and :meth:`table` reads its
+    nonzero rows, cached until the next change.  ``order_by``/``limit``
+    are read-time decorations (SQL views use them); the maintained state
+    is always the full unordered result.
     """
 
     def __init__(self, name: str, root: Node, *,
@@ -377,13 +275,12 @@ class MaterializedView:
         self.root = root
         self.order_by = order_by
         self.limit = limit
-        self._parts: list[ZSet] = []
-        self._output: ZSet | None = None
+        self._rows = Ledger(root.schema, f"view {name!r}")
         self._table: Table | None = None
         self._last_push: tuple[int, int] | None = None
         streams = sorted(root.streams, key=lambda s: s.name)
-        seed = {stream: stream._state for stream in streams}
-        self._parts.append(root.delta(seed))
+        self._absorb(root.delta({stream: stream._rows.zset()
+                                 for stream in streams}))
         for stream in streams:
             stream._register(self)
 
@@ -399,21 +296,20 @@ class MaterializedView:
                    view=self.name) as s:
             out = self.root.delta({stream: delta})
             if len(out):
-                self._parts.append(out)
-                self._output = None
+                self._absorb(out)
                 self._table = None
             self._last_push = (len(delta), len(out))
             metrics.counter("ivm.views.applies").inc()
             metrics.counter("ivm.views.rows_emitted").inc(len(out))
             s.set(rows_out=len(out))
 
+    def _absorb(self, out: ZSet) -> None:
+        self._rows.add(out.payload.columns(), out.weights)
+        self._rows.compact()
+
     def output(self) -> ZSet:
         """The maintained result as a consolidated Z-set."""
-        if self._output is None or len(self._parts) > 1:
-            flat = ZSet.concat(self._parts).consolidate()
-            self._parts = [flat]
-            self._output = flat
-        return self._output
+        return self._rows.zset()
 
     def table(self) -> Table:
         """The maintained result as a plain table (cached until the next

@@ -21,6 +21,11 @@ Exactness: the algebra is exact for int/str/bool payloads.  Float
 aggregation downstream (:class:`~repro.ivm.operators.GroupByNode`) re-sums
 in trace order, so float sums are order-sensitive at the ULP level unless
 the values lie on a dyadic grid (docs/ivm.md, "float exactness").
+
+A :class:`Ledger` is the in-place form of a consolidated Z-set, and the
+one kind of weighted-row state ``repro.ivm`` keeps: a stream's rows, a
+group-by's groups, a distinct's rows and a view's output (docs/ivm.md,
+"State on arrays").
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.errors import IvmError
-from repro.table import Schema, Table, hash_rows
+from repro.table import NUMPY_DTYPES, Column, HashIndex, Schema, Table, hash_rows
 from repro.table.hashing import distinct_rows
 
 
@@ -89,10 +94,6 @@ class ZSet:
         return (f"ZSet({self.schema!r}, entries={len(self)}, "
                 f"net={self.weight_total})")
 
-    def entries(self) -> list[tuple[tuple[Any, ...], int]]:
-        """``(row, weight)`` pairs in physical order (python values)."""
-        return list(zip(self.payload.rows(), self.weights.tolist()))
-
     def weight_by_row(self) -> dict[tuple[Any, ...], int]:
         """Net weight per distinct row — the mathematical Z-set.
 
@@ -101,7 +102,7 @@ class ZSet:
         consolidation-order independence).
         """
         out: dict[tuple[Any, ...], int] = {}
-        for row, weight in self.entries():
+        for row, weight in zip(self.payload.rows(), self.weights.tolist()):
             total = out.get(row, 0) + weight
             if total:
                 out[row] = total
@@ -225,3 +226,143 @@ class Delta(ZSet):
     @classmethod
     def of(cls, table: Table, weights: np.ndarray | Sequence[int]) -> "Delta":
         return cls(table, weights)
+
+
+class Ledger:
+    """A consolidated Z-set kept in place: distinct rows in column buffers
+    (first-appearance order, capacity doubling), an int64 weight each, and
+    a :class:`~repro.table.HashIndex` over the rows' content hashes, every
+    candidate confirmed by exact equality.  :meth:`add` nets a batch
+    against the stored weights and appends the unseen rows — O(batch),
+    amortized.  A row whose weight returns to zero is never matched or
+    rewritten again; :meth:`compact` drops such rows once they are half
+    the physical rows, so a ledger holds at most about twice its live rows
+    plus one batch.  With zero columns every row is the one row ``()``.
+    """
+
+    __slots__ = ("schema", "name", "_values", "_masks", "_weights", "_n",
+                 "_zeros", "_index")
+
+    def __init__(self, schema: Schema, name: str) -> None:
+        self.schema = schema
+        self.name = name
+        self._values = [np.empty(0, NUMPY_DTYPES[f.dtype]) for f in schema]
+        self._masks = [np.empty(0, bool) for _ in schema]
+        self._weights = np.empty(0, np.int64)
+        self._n = 0
+        self._zeros = 0
+        self._index = HashIndex.build(np.empty(0, np.uint64))
+
+    def __len__(self) -> int:
+        """Physical rows, zero-weight rows not yet compacted included."""
+        return self._n
+
+    @property
+    def live(self) -> int:
+        """Rows of nonzero weight."""
+        return self._n - self._zeros
+
+    def columns(self, slots: np.ndarray | None = None) -> list[Column]:
+        """The rows at ``slots``, or every physical row as views of the
+        buffers (appends write past them; nothing rewrites a row)."""
+        n = self._n
+        cols = [Column(f.dtype, v[:n], m[:n])
+                for f, v, m in zip(self.schema, self._values, self._masks)]
+        return cols if slots is None else [col.take(slots) for col in cols]
+
+    def zset(self) -> ZSet:
+        """The net state: the rows of nonzero weight."""
+        payload = Table.from_columns(self.schema, self.columns())
+        weights = self._weights[:self._n]
+        if not self._zeros:
+            return ZSet(payload, weights.copy())
+        keep = weights != 0
+        return ZSet(payload.filter(keep), weights[keep])
+
+    def add(self, columns: Sequence[Column], weights: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Add ``weights[i]`` copies of row ``i`` of ``columns``; raises
+        :class:`~repro.errors.IvmError` before mutating anything if a
+        weight would go negative.  Returns ``(slot, touched, old, new)``:
+        each row's slot (-1 when unseen and netting to zero: not stored),
+        and the slots touched, ascending, with their weights before and
+        after."""
+        k = len(weights)
+        hashes = hash_rows(columns) if columns else np.zeros(k, np.uint64)
+        found, at = self._index.probe(hashes, columns, self.columns())
+        # A dead row is gone: an equal row arriving now is new, spelling
+        # (0.0 vs -0.0) and all.
+        live = self._weights[at] != 0
+        found, at = found[live], at[live]
+        slot = np.full(k, -1, np.int64)
+        slot[found] = at
+        # Stored rows the batch touches, with their new weights.
+        touched, which = np.unique(at, return_inverse=True)
+        new = np.zeros(len(touched), np.int64)
+        np.add.at(new, which, weights[found])
+        old = self._weights[touched]
+        new += old
+        # Unseen rows, grouped by content.
+        fresh = np.flatnonzero(slot < 0)
+        if len(fresh) < k:
+            columns = [col.take(fresh) for col in columns]
+        heads, group = distinct_rows(hashes[fresh], columns)
+        added = np.zeros(len(heads), np.int64)
+        np.add.at(added, group, weights[fresh])
+        bad = int((new < 0).sum() + (added < 0).sum())
+        if bad:
+            raise IvmError(
+                f"push would leave {bad} rows of {self.name} with negative "
+                f"multiplicity (deleting absent rows?)"
+            )
+        self._weights[touched] = new
+        self._zeros += int((new == 0).sum())
+        stored = added > 0
+        ids = self._n + np.cumsum(stored) - 1
+        slot[fresh] = np.where(stored[group], ids[group], -1)
+        heads = heads[stored]
+        if len(heads):
+            self._append([col.take(heads) for col in columns],
+                         added[stored], hashes[fresh[heads]])
+        return (slot, np.concatenate([touched, ids[stored]]),
+                np.concatenate([old, np.zeros(len(heads), np.int64)]),
+                np.concatenate([new, added[stored]]))
+
+    def _append(self, columns: list[Column], weights: np.ndarray,
+                hashes: np.ndarray) -> None:
+        n, k = self._n, len(weights)
+        if n + k > len(self._weights):
+            cap = max(2 * n, n + k)
+
+            def grown(buffer: np.ndarray) -> np.ndarray:
+                out = np.empty(cap, buffer.dtype)   # the tail stays unpaged
+                out[:n] = buffer[:n]
+                return out
+
+            self._values = [grown(v) for v in self._values]
+            self._masks = [grown(m) for m in self._masks]
+            self._weights = grown(self._weights)
+        for j, col in enumerate(columns):
+            if col.values.dtype == object != self._values[j].dtype:
+                # An oversized int moves the column to object storage.
+                self._values[j] = self._values[j].astype(object)
+            self._values[j][n:n + k] = col.values
+            self._masks[j][n:n + k] = col.mask
+        self._weights[n:n + k] = weights
+        self._index = self._index.insert(hashes, np.arange(n, n + k))
+        self._n = n + k
+
+    def compact(self) -> bool:
+        """Drop the zero-weight rows once they are half the physical rows
+        (buffers shrink to the live rows, which renumber in order);
+        whether that was due."""
+        if 2 * self._zeros < self._n or not self._n:
+            return False
+        keep = self._weights[:self._n] != 0
+        self._values = [v[:self._n][keep] for v in self._values]
+        self._masks = [m[:self._n][keep] for m in self._masks]
+        self._weights = self._weights[:self._n][keep]
+        self._index = self._index.keep(keep)
+        self._n = len(self._weights)
+        self._zeros = 0
+        return True

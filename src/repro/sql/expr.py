@@ -43,7 +43,7 @@ from repro.sql.ast import (
     UnaryOp,
 )
 from repro.table import Column, Table
-from repro.table.aggregate import AGGREGATES, AggregateFunction
+from repro.table.aggregate import AGGREGATES, AggregateFunction, check_argument
 from repro.table.schema import Schema, coerce, infer_dtype
 
 __all__ = [
@@ -290,9 +290,8 @@ class AggregateItems:
                     dtype = expr_dtype(arg, schema)
                     self.computed.append((f"__arg{i}", arg))
                     arg = f"__arg{i}"
-                if arg is not None and not fn.accepts(dtype):
-                    raise SchemaError(f"{render_expr(expr)}: {fn.name} does "
-                                      f"not accept a {dtype} argument")
+                if arg is not None:
+                    check_argument(fn, dtype, render_expr(expr))
                 source = f"__agg{i}"
                 self.specs.append((fn.name, arg, source))
             else:

@@ -146,30 +146,43 @@ class _AvgState(_SumState):
         return self.total / self.n if self.n > 0 else None
 
 
+def _nan_wins(pick):
+    """``pick`` (``max`` / ``min``) of a non-empty collection, except that
+    a NaN wins, as in the batch kernel's ``np.maximum`` / ``np.minimum``."""
+    return staticmethod(lambda values: next(
+        (v for v in values if v != v), None) or pick(values))
+
+
+#: The key every NaN is counted under in an :class:`_Extreme` map.
+_NAN = float("nan")
+
+
 class _Extreme:
     """One group's max state (``min`` in :class:`_Min`): the net
-    multiplicity of each distinct value, and ``max(net)`` cached.
+    multiplicity of each distinct value, and ``pick(net)`` cached.
 
     ``max`` folds over the dict's insertion order and a new value lands
     at its end, so adding one is one fold step on the cache.  Removing a
     key changes the result only if it *was* the result (``0.0`` and
     ``-0.0`` share a key): that marks the cache stale, and the next
-    :meth:`value` rescans.  While the map may hold a NaN every read
-    rescans.  So :meth:`value` is exactly ``max(net)``, signed zeros and
-    NaN order included."""
+    :meth:`value` rescans, as every read does while the map holds a NaN
+    (all counted under :data:`_NAN`).  So :meth:`value` is exactly
+    ``pick(net)``, signed zeros included."""
 
-    __slots__ = ("net", "best", "stale", "nan")
+    __slots__ = ("net", "best", "stale")
 
-    pick = staticmethod(max)
+    pick = _nan_wins(max)
     beats = staticmethod(operator.gt)
 
     def __init__(self) -> None:
         self.net: dict[Any, int] = {}
         self.best: Any = None
         self.stale = False
-        self.nan = False
 
     def fold(self, v: Any, w: int) -> None:
+        if v != v:
+            v = _NAN
+            self.stale = True
         net = self.net
         old = net.get(v, 0)
         new = old + w
@@ -182,25 +195,21 @@ class _Extreme:
             del net[v]
             if v == self.best:
                 self.stale = True
-        if v != v:
-            self.nan = self.stale = True
 
     def value(self) -> Any:
-        """``max(net)`` (``None`` when empty), rescanning only when stale."""
+        """``pick(net)`` (``None`` when empty), rescanning when stale."""
         if self.stale:
             metrics.counter("ivm.group.extreme_rescans").inc()
             net = self.net
             self.best = self.pick(net) if net else None
-            if self.nan:
-                self.nan = any(k != k for k in net)
-            self.stale = self.nan
+            self.stale = _NAN in net
         return self.best
 
 
 class _Min(_Extreme):
     __slots__ = ()
 
-    pick = staticmethod(min)
+    pick = _nan_wins(min)
     beats = staticmethod(operator.lt)
 
 
@@ -377,14 +386,24 @@ def lookup(name: str) -> AggregateFunction:
     return AGGREGATES[name]
 
 
+def check_argument(fn: AggregateFunction, dtype: str, what: str) -> None:
+    """:class:`SchemaError` unless ``fn`` (called as ``what``) accepts an
+    argument of ``dtype``."""
+    if not fn.accepts(dtype):
+        raise SchemaError(
+            f"{what}: {fn.name} does not accept a {dtype} argument")
+
+
 def output_fields(schema: Schema, keys: Sequence[str],
                   aggregates: Sequence[tuple[str, str | None, str]]
                   ) -> list[Field]:
     """GROUP BY output fields: the keys', then one per ``(function,
-    column, output name)`` spec (``count_star``'s column is ``None``)."""
+    column, output name)`` spec (``count_star``'s column is ``None``);
+    every engine's plan-time check (:class:`SchemaError`)."""
     fields = [schema.field(k) for k in keys]
     for name, col, out in aggregates:
         fn = lookup(name)
-        fields.append(Field(out, fn.dtype(
-            schema.dtype_of(col) if fn.takes_column else None)))
+        arg = schema.dtype_of(col) if fn.takes_column else None
+        check_argument(fn, arg, f"{name}({col or '*'})")
+        fields.append(Field(out, fn.dtype(arg)))
     return fields

@@ -284,6 +284,13 @@ def random_ext_row(rng: random.Random, nan: bool) -> tuple:
             rng.choice([None, -3, 0, 1, True, 2, 5]))
 
 
+def nan_wins(pick, values):
+    """``pick(values)``, except that a NaN among them wins, as it does in
+    the batch kernel's ``np.maximum`` / ``np.minimum`` reduce."""
+    nans = [v for v in values if v != v]
+    return nans[0] if nans else pick(values)
+
+
 class ExtremeReference:
     """Per group, net multiplicity per value folded in push order (the
     node's own order), with min/max recomputed from scratch on every
@@ -310,7 +317,7 @@ class ExtremeReference:
     def rows(self) -> dict:
         out = {}
         for g, (_n, fnet, inet) in self.groups.items():
-            out[g] = tuple(canon(pick(net) if net else None)
+            out[g] = tuple(canon(nan_wins(pick, net) if net else None)
                            for net in (fnet, inet) for pick in (min, max))
         return out
 
@@ -386,9 +393,9 @@ class TestExtremeCache:
         assert rescans > 0, "no extreme was ever retracted"
 
     def test_nan_order_and_signed_zero(self):
-        """The extremes follow ``max``/``min``'s insertion-order fold:
-        a leading NaN wins, and ``0.0``/``-0.0`` are one value whose first
-        spelling is the one reported."""
+        """The extremes follow ``max``/``min``'s insertion-order fold,
+        except that any NaN wins (as in the batch kernel): ``0.0``/``-0.0``
+        are one value whose first spelling is the one reported."""
         stream = StreamTable(EXT_SCHEMA, name="e")
         view = stream.view().group_by(["g"], EXT_AGGS).materialize("x")
 
@@ -399,9 +406,10 @@ class TestExtremeCache:
         stream.insert_rows([("a", 1.0, 0)])
         stream.insert_rows([("a", NAN, 0)])
         stream.insert_rows([("a", 5.0, 0)])
-        assert f_lo_hi("a") == (1.0, 5.0)      # min/max([1.0, nan, 5.0])
+        lo, hi = f_lo_hi("a")                   # ([1.0, nan, 5.0]): NaN wins
+        assert lo != lo and hi != hi
         stream.delete_rows([("a", 1.0, 0)])
-        lo, hi = f_lo_hi("a")                   # ([nan, 5.0]): NaN leads
+        lo, hi = f_lo_hi("a")                   # ([nan, 5.0])
         assert lo != lo and hi != hi
 
         stream.insert_rows([("b", -1.0, 0), ("b", 0.0, 0), ("b", -0.0, 0)])

@@ -1,8 +1,9 @@
-"""The array state of repro.ivm: the stream ledger (rows + weights + a
-row-hash index), its bounded history, exactness under hash collisions,
-and SQL views compiled from the optimized plan.
+"""The array state of repro.ivm: the ledger (rows + weights + a row-hash
+index) that streams, group-by groups, distinct rows and view outputs
+keep, its bounded history, exactness under hash collisions, and SQL
+views compiled from the optimized plan.
 
-The ledger and the join traces find rows by a 64-bit content hash and
+The ledgers and the join traces find rows by a 64-bit content hash and
 confirm every candidate by exact equality, so a collision may cost time
 but never merges distinct rows.  The collision cases pin that by forcing
 every row to one hash.
@@ -25,9 +26,10 @@ from repro.table import Table
 
 SCHEMA = [("k", "int"), ("v", "float"), ("tag", "str")]
 DIMS = [("k", "int"), ("label", "str")]
-#: Counts only: the stream values include NaN, and an incremental max
-#: over NaN is a separate, group-by question.
-GROUP_AGGS = [("count", "v", "n"), ("count_star", None, "rows")]
+#: No sums: the stream values include NaN, which a sum keeps until its
+#: group's count returns to zero.
+GROUP_AGGS = [("count", "v", "n"), ("count_star", None, "rows"),
+              ("max", "v", "hi"), ("min", "v", "lo")]
 
 
 def bag(table: Table) -> Counter:
@@ -263,3 +265,109 @@ class TestOptimizedViews:
                "WHERE status <> 'drop' GROUP BY name_r")
         db.create_view("v", sql)
         assert "view_substitution" in db.explain(sql)
+
+
+def churn(rng: random.Random, stream: StreamTable, live: Counter,
+          make_row, steps: int):
+    """``steps`` random pushes (inserts, deletes of live rows, sometimes
+    every live row), yielding after each."""
+    for _ in range(steps):
+        if live and rng.random() < 0.45:
+            rows = list(live.elements())
+            if rng.random() > 0.1:
+                rows = rng.sample(rows, k=rng.randint(1, len(rows)))
+            stream.delete_rows(rows)
+            live.subtract(rows)
+            live += Counter()
+        else:
+            rows = [make_row(rng) for _ in range(rng.randint(1, 6))]
+            stream.insert_rows(rows)
+            live.update(rows)
+        yield
+
+
+def random_row(rng: random.Random) -> tuple:
+    return (rng.choice([None, 0, 1, 2, 3, 4, 5]),
+            rng.choice([None, -0.0, 0.0, 0.5, -1.25, float("nan")]),
+            rng.choice([None, "x", "y", "z"]))
+
+
+class TestLedgerOwners:
+    def test_max_min_follow_batch_through_a_nan(self):
+        aggs = [("max", "v", "hi"), ("min", "v", "lo")]
+        stream = StreamTable(SCHEMA, name="s")
+        view = stream.view().group_by(["tag"], aggs).materialize("x")
+        nan = float("nan")
+        for kind, row in [("insert", (1, 0.5, "y")), ("insert", (2, nan, "y")),
+                          ("delete", (2, nan, "y")), ("insert", (2, nan, "y"))]:
+            getattr(stream, f"{kind}_rows")([row])
+            batch = stream.snapshot().group_by(["tag"], aggs)
+            assert same_bag(bag(view.table()), bag(batch))
+        (_tag, hi, lo), = view.table().rows()
+        assert hi != hi and lo != lo
+
+    def test_reborn_group_starts_fresh_around_compaction(self):
+        aggs = [("sum", "v", "total"), ("avg", "v", "mean"),
+                ("max", "v", "hi"), ("count_star", None, "rows")]
+        stream = StreamTable(SCHEMA, name="s")
+        view = stream.view().group_by(["tag"], aggs).materialize("x")
+
+        def check():
+            batch = stream.snapshot().group_by(["tag"], aggs)
+            assert bag(view.table()) == bag(batch)
+
+        # 0.1 + 0.2 - 0.1 - 0.2 leaves float residue in a running sum.
+        stream.insert_rows([(1, 0.1, "a"), (2, 0.2, "a"), (3, 0.3, "b"),
+                            (4, 0.1, "c"), (5, 0.1, "d")])
+        stream.delete_rows([(1, 0.1, "a")])
+        stream.delete_rows([(2, 0.2, "a")])
+        check()
+        # Reborn while its dead slot is still stored: 1 of 4 groups dead.
+        stream.insert_rows([(6, 0.5, "a")])
+        check()
+        assert ("a", 0.5, 0.5, 0.5, 1) in bag(view.table())
+        # Kill three groups, so the dead ones reach half the group slots
+        # and the ledger compacts; then bring each back.
+        stream.delete_rows([(6, 0.5, "a"), (4, 0.1, "c"), (5, 0.1, "d")])
+        check()
+        stream.insert_rows([(7, 0.25, "a"), (8, 0.75, "c"), (9, 0.1, "d")])
+        check()
+        assert ("a", 0.25, 0.25, 0.25, 1) in bag(view.table())
+
+    def test_keyless_group_by_under_churn(self):
+        aggs = [("count_star", None, "rows"), ("count", "v", "n"),
+                ("max", "v", "hi"), ("min", "v", "lo")]
+        rng = random.Random(11)
+        stream = StreamTable(SCHEMA, name="s")
+        view = stream.view().group_by([], aggs).materialize("all")
+        seen_empty = False
+        for _ in churn(rng, stream, Counter(), random_row, 60):
+            batch = stream.snapshot().group_by([], aggs)
+            assert same_bag(bag(view.table()), bag(batch))
+            seen_empty |= stream.num_rows == 0
+        assert seen_empty             # the one group died and came back
+
+    def test_view_output_survives_its_compaction(self):
+        rng = random.Random(12)
+        stream = StreamTable(SCHEMA, name="s")
+        view = stream.view().project(["k", "v"]).materialize("p")
+        sizes = []
+        for _ in churn(rng, stream, Counter(), random_row, 80):
+            batch = stream.snapshot().project(["k", "v"])
+            assert same_bag(bag(view.table()), bag(batch))
+            sizes.append(len(view._rows))
+        assert min(sizes[sizes.index(max(sizes)):]) < max(sizes)
+
+    def test_distinct_and_group_by_under_one_hash(self, one_hash):
+        rng = random.Random(13)
+        stream = StreamTable(SCHEMA, name="s")
+        grouped = stream.view().group_by(["k", "tag"],
+                                         GROUP_AGGS).materialize("g")
+        distinct = stream.view().project(["k", "v"]).distinct(
+        ).materialize("d")
+        for _ in churn(rng, stream, Counter(), random_row, 80):
+            snap = stream.snapshot()
+            assert same_bag(bag(grouped.table()),
+                            bag(snap.group_by(["k", "tag"], GROUP_AGGS)))
+            assert same_bag(bag(distinct.table()),
+                            bag(snap.project(["k", "v"]).distinct()))

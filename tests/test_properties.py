@@ -150,8 +150,11 @@ key_values = st.lists(
 
 
 def _keyed_table(keys, values):
+    # Typed: an all-NULL ``v`` would infer as ``str``, which ``sum``
+    # rejects.
     n = min(len(keys), len(values))
-    return Table.from_dict({"k": keys[:n], "v": values[:n]})
+    return Table.from_rows(list(zip(keys[:n], values[:n])),
+                           schema=[("k", "str"), ("v", "int")])
 
 
 class TestRelationalAlgebraLaws:

@@ -19,11 +19,15 @@ if [[ "${SMOKE:-0}" != "0" ]]; then
   export REPRO_PERF_SMOKE=1
   export REPRO_TABLE_SMOKE=1
   export REPRO_SERVING_SMOKE=1
+  export REPRO_IVM_SMOKE=1
+  export REPRO_SHARD_SMOKE=1
+  export REPRO_SQL_SMOKE=1
   export REPRO_OBS_BENCH_REQUESTS="${REPRO_OBS_BENCH_REQUESTS:-640}"
 fi
 
 if [[ "${SKIP_BENCHES:-0}" == "0" ]]; then
-  for bench in perf table serving chaos obs; do
+  for bench in perf table serving chaos dlt ivm shard sql intro_systems \
+      open_problems obs; do
     echo "== bench: ${bench} =="
     python -m pytest "benchmarks/bench_ext_${bench}.py" -x -q \
       -p no:cacheprovider

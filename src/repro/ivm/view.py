@@ -32,8 +32,7 @@ from repro.errors import IvmError
 from repro.obs import metrics
 from repro.obs.instrument import timed
 from repro.resilience import faults
-# hash_rows stays importable here; the ledgers hash in repro.ivm.zset.
-from repro.table import Schema, Table, hash_rows  # noqa: F401
+from repro.table import Schema, Table
 from repro.ivm.operators import (
     DistinctNode,
     FilterNode,

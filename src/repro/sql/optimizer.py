@@ -28,7 +28,7 @@ plan plus one human-readable annotation per applied rewrite (surfaced by
 
 Every rule preserves the naive executor's output *exactly* — same rows,
 same row order, same column names — which is what the randomized
-optimizer-on/off equivalence suite (tests/test_sql_optimizer.py) pins.
+differential harness (tests/test_sql_differential.py) pins.
 """
 
 from __future__ import annotations

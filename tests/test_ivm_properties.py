@@ -133,9 +133,9 @@ class TestIncrementalEqualsBatch:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_group_by_bulk_fold_large_batches(self, seed):
-        """Batches past the vectorized-fold threshold (64 rows) must agree
-        with batch too — covers the numpy bucket path for every aggregate,
-        with nulls in keys and values and bulk deletes."""
+        """200-row inserts and 150-row deletes must agree with batch too:
+        every aggregate folds a large delta into the group ledger at once,
+        with nulls in keys and values."""
         rng = random.Random(seed)
         stream = StreamTable(FACT_SCHEMA, name="facts")
         view = stream.view().group_by(["k", "cat"], AGGS).materialize("g")
@@ -180,29 +180,6 @@ class TestIncrementalEqualsBatch:
                           [("sum", "v", "total"), ("count", "v", "n")])
             )
             assert bag(view.table()) == bag(batch)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_sql_view_equals_batch_query(self, seed):
-        from repro.sql import Database
-
-        rng = random.Random(seed)
-        db = Database()
-        facts = db.register_stream("facts", Table.empty(FACT_SCHEMA))
-        dims = db.register_stream("dims", Table.empty(DIM_SCHEMA))
-        sql = ("SELECT label, COUNT(*) AS n, SUM(v) AS total "
-               "FROM facts JOIN dims ON facts.k = dims.k "
-               "WHERE v > 0 GROUP BY label")
-        view = db.create_view("chain", sql)
-        fstate: Counter = Counter()
-        dstate: Counter = Counter()
-        for _ in range(30):
-            if rng.random() < 0.6:
-                mutate(rng, facts, fstate, random_fact_row)
-            else:
-                mutate(rng, dims, dstate, random_dim_row)
-            # optimizer=False: the fixed-order batch oracle, not the
-            # (view-substituting) plan-based path.
-            assert bag(view.table()) == bag(db.query(sql, optimizer=False))
 
 
 class TestPushAtomicityUnderChaos:
@@ -324,7 +301,7 @@ class ExtremeReference:
 
 class TestExtremeCache:
     """Cached min/max extremes equal ``min(net)`` / ``max(net)`` exactly
-    under retractions, through both fold paths."""
+    under retractions, in small deltas and in bulk ones."""
 
     @staticmethod
     def _live(state: Counter, group=None) -> list:
@@ -371,7 +348,7 @@ class TestExtremeCache:
         view = stream.view().group_by(["g"], EXT_AGGS).materialize("x")
         reference = ExtremeReference()
         state: Counter = Counter()
-        pad = 70 if bulk else 0          # past the 64-row bulk threshold
+        pad = 70 if bulk else 0          # many rows per group per push
         for _ in range(60):
             inserts, deletes = self._targeted(rng, state)
             inserts = inserts + [random_ext_row(rng, nan)

@@ -20,7 +20,7 @@ import pytest
 
 from repro import obs
 from repro.errors import IvmError
-from repro.ivm import StreamTable, operators, view, zset
+from repro.ivm import StreamTable, operators, zset
 from repro.sql import Database
 from repro.table import Table
 
@@ -52,7 +52,7 @@ def one_hash(monkeypatch):
     consolidation: the worst case of the hash index."""
     def constant(columns):
         return np.zeros(len(columns[0]), dtype=np.uint64)
-    for module in (view, operators, zset):
+    for module in (operators, zset):
         monkeypatch.setattr(module, "hash_rows", constant)
 
 
@@ -150,7 +150,7 @@ class TestCollisions:
             return bag(facts.snapshot())
 
         plain = replay()
-        for module in (view, operators, zset):
+        for module in (operators, zset):
             monkeypatch.setattr(
                 module, "hash_rows",
                 lambda columns: np.zeros(len(columns[0]), dtype=np.uint64))

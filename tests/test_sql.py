@@ -284,7 +284,7 @@ class TestMinusAndLimit:
         "select o_id from t where -o_id = 5",
     ])
     def test_minus_matches_sqlite(self, signed, sql):
-        from tests.test_sql_optimizer import _sqlite_db
+        from tests.test_sql_differential import _sqlite_db
 
         db = Database(signed)
         lite = _sqlite_db(signed).execute(sql).fetchall()

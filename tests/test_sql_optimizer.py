@@ -1,5 +1,5 @@
-"""Optimizer correctness: rule unit tests, the randomized optimizer-on/off
-equivalence property suite, backend selection, and view substitution.
+"""Optimizer correctness: rule unit tests, backend selection and view
+substitution.  Random draws run in tests/test_sql_differential.py.
 
 The contract under test is strict: every rewrite the optimizer applies
 must leave the result *byte-identical* to the naive fixed-order executor
@@ -7,8 +7,6 @@ must leave the result *byte-identical* to the naive fixed-order executor
 to change how the answer is computed, never the answer.
 """
 
-import random
-import re
 from collections import Counter
 
 import numpy as np
@@ -19,6 +17,7 @@ from repro.sql.ast import BinaryOp, ColumnRef, Literal, SelectItem
 from repro.sql.plan import Aggregate, Filter, Join, Project, Scan, render_plan
 from repro.errors import IvmError, ParseError, SchemaError
 from repro.table import Schema, Table
+from tests.test_sql_differential import _EQUALITY_ATOMS, _sqlite_db
 
 
 def rows_of(table):
@@ -348,213 +347,23 @@ class TestViewSubstitution:
         assert a == b
 
 
-# -- randomized equivalence property suite ------------------------------------
-
-_STATUSES = ["gold", "new", "vip", None]
-_COUNTRIES = ["jp", "us", "de", None]
-_CATEGORIES = ["tools", "toys"]
-
-
-def _random_tables(rng: random.Random, n: int):
-    # Dyadic-grid floats: sums associate exactly, so vectorized and
-    # row-order accumulation agree bit-for-bit.
-    amounts = [None if rng.random() < 0.15 else rng.randrange(64) / 4.0
-               for _ in range(n)]
-    orders = Table.from_dict({
-        "o_id": list(range(n)),
-        "cust": [None if rng.random() < 0.1 else rng.randrange(8)
-                 for _ in range(n)],
-        "prod": [None if rng.random() < 0.1 else 100 + rng.randrange(5)
-                 for _ in range(n)],
-        "amount": amounts,
-        "status": [rng.choice(_STATUSES) for _ in range(n)],
-    })
-    customers = Table.from_dict({
-        "cust": list(range(8)),
-        "country": [rng.choice(_COUNTRIES) for _ in range(8)],
-    })
-    products = Table.from_dict({
-        "p_id": [100 + i for i in range(5)],
-        "category": [rng.choice(_CATEGORIES) for _ in range(5)],
-    })
-    return {"orders": orders, "customers": customers, "products": products}
-
-
-def _random_predicate(rng: random.Random, columns: list[str]) -> str:
-    def atom() -> str:
-        kind = rng.randrange(6)
-        if kind == 0:
-            return f"amount > {rng.randrange(64) / 4.0}"
-        if kind == 1:
-            return f"amount between {rng.randrange(8)} and {rng.randrange(8, 16)}"
-        if kind == 2:
-            values = ", ".join(f"'{s}'" for s in
-                               rng.sample(["gold", "new", "vip"], 2))
-            neg = "not " if rng.random() < 0.3 else ""
-            return f"status {neg}in ({values})"
-        if kind == 3:
-            return f"cust = {rng.randrange(8)}"
-        if kind == 4 and "country" in columns:
-            return f"country = '{rng.choice(['jp', 'us', 'de'])}'"
-        return "amount is not null" if rng.random() < 0.5 else \
-            "status is null"
-
-    def maybe_not(text: str) -> str:
-        return f"not ({text})" if rng.random() < 0.2 else text
-
-    parts = [maybe_not(atom()) for _ in range(rng.randrange(1, 4))]
-    joiner = " and " if rng.random() < 0.7 else " or "
-    return maybe_not(joiner.join(parts))
-
-
-def _random_query(rng: random.Random) -> str:
-    joins = []
-    columns = ["o_id", "cust", "prod", "amount", "status"]
-    if rng.random() < 0.5:
-        joins.append("join customers on cust = cust")
-        columns += ["country"]
-    if rng.random() < 0.5:
-        joins.append("join products on prod = p_id")
-        columns += ["category"]
-    where = ""
-    if rng.random() < 0.8:
-        where = " where " + _random_predicate(rng, columns)
-    shape = rng.randrange(4)
-    order = limit = group = ""
-    if shape == 0:                       # SELECT *
-        select = "*"
-        if rng.random() < 0.5:
-            order = f" order by {rng.choice(columns)}"
-    elif shape == 1:                     # plain projection
-        cols = rng.sample(columns, rng.randrange(1, min(4, len(columns))))
-        select = ", ".join(cols)
-        if rng.random() < 0.5:
-            order = f" order by {rng.choice(columns)}"
-    elif shape == 2:                     # computed projection
-        select = "o_id, amount * 2 as a2, amount + 1 as a1"
-        if rng.random() < 0.5:
-            order = " order by o_id"
-    else:                                # group by
-        keys = rng.sample([c for c in ("status", "cust", "country",
-                                       "category") if c in columns],
-                          rng.randrange(1, 3))
-        aggs = ["count(*) as n", "sum(amount) as s", "avg(amount) as m",
-                "min(amount) as lo", "count(amount) as c",
-                "max(amount) as hi", "min(status) as st"]
-        select = ", ".join(keys + rng.sample(aggs, rng.randrange(1, 4)))
-        group = f" group by {', '.join(keys)}"
-        if rng.random() < 0.5:
-            order = f" order by {rng.choice(keys)}"
-    if rng.random() < 0.3:
-        limit = f" limit {rng.randrange(1, 20)}"
-    return (f"select {select} from orders {' '.join(joins)}"
-            f"{where}{group}{order}{limit}")
-
-
-class TestRandomizedEquivalence:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_optimizer_on_off_byte_identical(self, seed):
-        rng = random.Random(seed)
-        db = Database(_random_tables(rng, 60 + rng.randrange(60)))
-        for _ in range(25):
-            sql = _random_query(rng)
-            optimized = db.query(sql)
-            naive = db.query(sql, optimizer=False)
-            assert rows_of(optimized) == rows_of(naive), sql
-            assert optimized.schema == naive.schema, sql
-            # Pushdown/pruning/reorder never change the output row count.
-            assert optimized.num_rows == naive.num_rows, sql
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_partitioned_equivalence(self, seed):
-        from repro.shard import PartitionedTable
-
-        rng = random.Random(1000 + seed)
-        tables = _random_tables(rng, 80)
-        db = Database(tables)
-        sharded = Database({
-            **tables,
-            "orders": PartitionedTable.partition(
-                tables["orders"], keys=["cust"], num_shards=3),
-        })
-        checked = 0
-        while checked < 15:
-            sql = _random_query(rng)
-            if " limit " in sql:
-                # LIMIT without a total order is not deterministic across
-                # partition layouts; skip those draws.
-                continue
-            checked += 1
-            assert Counter(rows_of(sharded.query(sql))) == Counter(
-                rows_of(db.query(sql, optimizer=False))), sql
-
-
-# -- key-index filter probe against an independent oracle ---------------------
-
-_EQUALITY_ATOMS = ["o_id = {key}", "o_id = {missing}", "cust = 2",
-                   "cust = 2.0", "cust = 2.5", "2 = cust", "amount = 3",
-                   "amount = 2.25", "amount = 99.5"]
-
-
-def _sqlite_db(tables: dict):
-    import sqlite3
-
-    types = {"int": "INTEGER", "float": "REAL", "str": "TEXT"}
-    conn = sqlite3.connect(":memory:")
-    for name, table in tables.items():
-        cols = ", ".join(f"{f.name} {types[f.dtype]}" for f in table.schema)
-        conn.execute(f"CREATE TABLE {name} ({cols})")
-        marks = ", ".join("?" * table.num_columns)
-        conn.executemany(f"INSERT INTO {name} VALUES ({marks})",
-                         list(table.rows()))
-    return conn
+# -- key-index filter probe ------------------------------------------------------
 
 
 class TestIndexProbeOracle:
-    """``col = literal`` filters bound to the ``columnar[index]`` backend,
-    checked three ways: optimizer on (the probe), optimizer off (the
-    full-scan naive executor) and stdlib ``sqlite3`` as bags."""
+    """``col = literal`` filters bound to the ``columnar[index]`` backend
+    (tests/test_sql_differential.py checks their answers)."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_probe_matches_scan_and_sqlite(self, seed):
-        rng = random.Random(5000 + seed)
-        tables = _random_tables(rng, 40 + rng.randrange(60))
-        db = Database(tables)
-        conn = _sqlite_db(tables)
-        n = tables["orders"].num_rows
-        for _ in range(30):
-            atom = rng.choice(_EQUALITY_ATOMS).format(
-                key=rng.randrange(n), missing=n + rng.randrange(5))
-            columns = ["o_id", "cust", "amount", "status"]
-            ours = ["orders"]
-            theirs = ["orders"]
-            if rng.random() < 0.5:
-                ours.append("join customers on cust = cust")
-                theirs.append(
-                    "join customers on orders.cust = customers.cust")
-                columns.append("country")
-            if rng.random() < 0.5:
-                ours.append("join products on prod = p_id")
-                theirs.append("join products on orders.prod = products.p_id")
-                columns.append("category")
-            where = atom
-            if rng.random() < 0.6:
-                extra = _random_predicate(rng, columns)
-                while " not in " in extra:
-                    extra = _random_predicate(rng, columns)
-                where = f"{atom} and ({extra})"
-            sql = (f"select {', '.join(columns)} from {' '.join(ours)} "
-                   f"where {where}")
-            optimized = db.query(sql)
-            naive = db.query(sql, optimizer=False)
-            assert rows_of(optimized) == rows_of(naive), sql
-            qualified = [f"orders.{c}" if c == "cust" else c
-                         for c in columns]
-            lite = conn.execute(
-                f"select {', '.join(qualified)} from {' '.join(theirs)} "
-                f"where {where.replace('cust', 'orders.cust')}").fetchall()
-            assert Counter(rows_of(optimized)) == Counter(lite), sql
-            assert "[columnar[index]]" in db.explain(sql), sql
+    @pytest.mark.parametrize("atom", _EQUALITY_ATOMS)
+    def test_equality_atoms_bind_the_probe(self, atom):
+        db = make_db()
+        where = atom.format(key=3, missing=99)
+        for joins in ("", "join customers on cust = cust "
+                          "join products on prod = p_id"):
+            for extra in ("", " and (status is null or amount > 2)"):
+                sql = f"select o_id, amount from orders {joins} " \
+                      f"where {where}{extra}"
+                assert "[columnar[index]]" in db.explain(sql), sql
 
     def test_analyze_reports_rows_the_probe_examined(self):
         db = make_db()
@@ -579,21 +388,6 @@ class TestIndexProbeOracle:
 
 
 # -- three-valued logic against an independent oracle --------------------------
-
-
-def _sqlite_select(conn, columns: list[str], joins: list[str], where: str):
-    """Run our dialect's ``select columns from orders [joins] where`` in
-    sqlite, qualifying the ambiguous ``cust``."""
-    theirs = ["orders"]
-    for join in joins:
-        theirs.append(
-            "join customers on orders.cust = customers.cust"
-            if join.startswith("join customers")
-            else "join products on orders.prod = products.p_id")
-    qualified = [f"orders.{c}" if c == "cust" else c for c in columns]
-    return conn.execute(
-        f"select {', '.join(qualified)} from {' '.join(theirs)} "
-        f"where {where.replace('cust', 'orders.cust')}").fetchall()
 
 
 _NOT_PREDICATES = [
@@ -669,107 +463,6 @@ class TestThreeValuedLogic:
             sql).fetchall()
         assert Counter(rows_of(view.table())) == Counter(lite), sql
         assert Counter(rows_of(db.query("select * from v"))) == Counter(lite)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_negated_predicates_match_sqlite(self, seed):
-        rng = random.Random(7000 + seed)
-        tables = _random_tables(rng, 40 + rng.randrange(60))
-        db = Database(tables)
-        conn = _sqlite_db(tables)
-        checked = 0
-        while checked < 20:
-            columns = ["o_id", "cust", "amount", "status"]
-            joins = []
-            if rng.random() < 0.5:
-                joins.append("join customers on cust = cust")
-                columns.append("country")
-            if rng.random() < 0.3:
-                joins.append("join products on prod = p_id")
-                columns.append("category")
-            where = _random_predicate(rng, columns)
-            if "not" not in where:
-                continue
-            checked += 1
-            sql = (f"select {', '.join(columns)} from orders "
-                   f"{' '.join(joins)} where {where}")
-            optimized = db.query(sql)
-            assert rows_of(optimized) == rows_of(
-                db.query(sql, optimizer=False)), sql
-            lite = _sqlite_select(conn, columns, joins, where)
-            assert Counter(rows_of(optimized)) == Counter(lite), sql
-
-
-# -- aggregates against an independent oracle ----------------------------------
-
-
-def _sqlite_text(sql: str) -> str:
-    """Our dialect in sqlite: joins spelled out, the ambiguous ``cust``
-    qualified."""
-    sql = sql.replace("join customers on cust = cust",
-                      "join customers on orders.cust = customers.cust")
-    sql = sql.replace("join products on prod = p_id",
-                      "join products on orders.prod = products.p_id")
-    return re.sub(r"(?<![\w.])cust\b", "orders.cust", sql)
-
-
-class TestAggregateOracle:
-    """``_random_query``'s draws without LIMIT through naive SQL,
-    optimized SQL and ``orders`` partitioned on ``cust`` at 1, 2 and 7
-    shards, and its GROUP BY draws through a SQL-compiled incremental
-    view fed random inserts and deletes too — each compared as a bag with
-    stdlib ``sqlite3``."""
-
-    @staticmethod
-    def _order_rows(rng: random.Random, n: int, start: int) -> list[tuple]:
-        rows = _random_tables(rng, n)["orders"].rows()
-        return [(start + row[0],) + row[1:] for row in rows]
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_group_by_matches_sqlite(self, seed):
-        from repro.shard import PartitionedTable
-
-        rng = random.Random(seed)
-        tables = _random_tables(rng, 60 + rng.randrange(60))
-        draws = [sql for sql in (_random_query(rng) for _ in range(25))
-                 if " limit " not in sql]
-        grouped = [sql for sql in draws if " group by " in sql]
-        live = Database()
-        streams = {name: live.register_stream(name, table)
-                   for name, table in tables.items()}
-        views = [live.create_view(f"v{i}", sql)
-                 for i, sql in enumerate(grouped)]
-        # Deltas below and above the incremental group-by's bulk-fold
-        # threshold, deleting rows the earlier batches inserted too.
-        orders = streams["orders"]
-        next_id = tables["orders"].num_rows
-        for inserts, deletes in ((5, 3), (0, 4), (80, 70), (2, 0)):
-            if inserts:
-                orders.insert_rows(self._order_rows(rng, inserts, next_id))
-                next_id += inserts
-            if deletes:
-                orders.delete_rows(
-                    rng.sample(list(orders.snapshot().rows()), deletes))
-
-        final = {name: stream.snapshot() for name, stream in streams.items()}
-        conn = _sqlite_db(final)
-        db = Database(final)
-        sharded = [Database({**final, "orders": PartitionedTable.partition(
-            final["orders"], keys=["cust"], num_shards=k)})
-            for k in (1, 2, 7)]
-        for sql in draws:
-            naive = db.query(sql, optimizer=False)
-            # Spell ``*`` out as our output columns: joins drop the
-            # duplicate key, sqlite keeps it.
-            lite_sql = sql.replace(
-                "select *", "select " + ", ".join(naive.schema.names), 1)
-            lite = Counter(conn.execute(_sqlite_text(lite_sql)).fetchall())
-            assert Counter(rows_of(naive)) == lite, sql
-            assert Counter(rows_of(db.query(sql))) == lite, sql
-            for each in sharded:
-                assert Counter(rows_of(each.query(sql))) == lite, sql
-        for sql, view in zip(grouped, views):
-            lite = Counter(conn.execute(_sqlite_text(sql)).fetchall())
-            assert Counter(rows_of(view.table())) == lite, sql
 
 
 # -- plan-time checks and schema-derived dtypes --------------------------------

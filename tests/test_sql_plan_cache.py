@@ -2,12 +2,11 @@
 its literals reuses that one's optimized plan.
 
 Every answer a cache hit gives is checked against the naive executor
-(``optimizer=False``, never cached) byte for byte, and the LIMIT-free
-ones against stdlib ``sqlite3`` as bags.
+(``optimizer=False``, never cached) byte for byte.  Random queries and
+their literal-redrawn siblings run in tests/test_sql_differential.py.
 """
 
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -18,14 +17,8 @@ from repro.sql import Database, engine, plancache
 from repro.sql import plan as plan_ir
 from repro.table import Table
 from repro.table.storage import encode_table
-from tests.test_sql_optimizer import (
-    _random_query,
-    _random_tables,
-    _sqlite_db,
-    _sqlite_text,
-    make_db,
-    rows_of,
-)
+from tests.test_sql_differential import _sqlite_db
+from tests.test_sql_optimizer import make_db, rows_of
 
 
 def statuses() -> list[str]:
@@ -58,47 +51,6 @@ def count_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
-
-
-# -- siblings of random queries ------------------------------------------------
-
-_LITERAL = re.compile(r"'[^']*'|(?<![\w.])\d+\.\d+|(?<![\w.])\d+")
-_WORDS = ["gold", "new", "vip", "jp", "us", "de", "tools", "toys", "zz"]
-
-
-def sibling(sql: str, rng: random.Random) -> str:
-    """``sql`` with every literal redrawn from the same kind."""
-    def redraw(match):
-        text = match.group()
-        if text.startswith("'"):
-            return f"'{rng.choice(_WORDS)}'"
-        if "." in text:
-            return str(rng.randrange(64) / 4.0)
-        return str(rng.randrange(1, 20))
-
-    return _LITERAL.sub(redraw, sql)
-
-
-def sqlite_rows(conn, sql: str, names: list[str]) -> Counter:
-    lite_sql = sql.replace("select *", "select " + ", ".join(names), 1)
-    return Counter(conn.execute(_sqlite_text(lite_sql)).fetchall())
-
-
-class TestRandomSiblings:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_siblings_match_naive_and_sqlite(self, seed):
-        rng = random.Random(9000 + seed)
-        tables = _random_tables(rng, 60 + rng.randrange(60))
-        db = Database(tables)
-        conn = _sqlite_db(tables)
-        for _ in range(20):
-            drawn = _random_query(rng)
-            for sql in (drawn, sibling(drawn, rng)):
-                got = assert_matches_naive(db, sql)
-                if " limit " not in sql:
-                    assert Counter(rows_of(got)) == sqlite_rows(
-                        conn, sql, got.schema.names), sql
-        assert metrics.counter("sql.plan_cache.hit").value > 0
 
 
 # -- targeted cases ------------------------------------------------------------

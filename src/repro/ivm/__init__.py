@@ -27,6 +27,7 @@ from repro.ivm.operators import (
     DistinctNode,
     FilterNode,
     GroupByNode,
+    IntegrateNode,
     JoinNode,
     Node,
     ProjectNode,
@@ -48,6 +49,7 @@ __all__ = [
     "FilterNode",
     "GROUP_AGGREGATES",
     "GroupByNode",
+    "IntegrateNode",
     "JoinNode",
     "MaterializedView",
     "Node",

@@ -4,20 +4,20 @@ A :class:`StreamTable` is a continuously-mutating table: its net state is
 a Z-set, kept consolidated in a :class:`~repro.ivm.zset.Ledger` (docs/ivm.md,
 "State on arrays"), and :meth:`~StreamTable.insert_rows` /
 :meth:`~StreamTable.delete_rows` push ``(row, ±1)`` deltas through every
-:class:`MaterializedView` registered over it.  A view is a compiled tree
-of :mod:`~repro.ivm.operators` nodes; each push advances the tree by one
-delta and adds the output delta to the view's own ledger, so the cost of
-an update is proportional to the delta (plus touched groups), never to
-the base table.  Reading :meth:`MaterializedView.table` caches until the
-next change.
+:class:`MaterializedView` registered over it.  A view is one tree of
+:mod:`~repro.ivm.operators` nodes; each push advances it by one delta, so
+the cost of an update is proportional to the delta (plus touched
+groups), never to the base table, and a read takes the output from the
+node state that holds it.  Reading :meth:`MaterializedView.table` caches
+until the next change.
 
 Views are *composed*, not queried: build one with the fluent
 :class:`ViewBuilder` (``stream.view().filter(...).join(...).group_by(...)
 .materialize()``) or from SQL via
-:meth:`repro.sql.Database.create_view`.  The builder holds an immutable
-spec tree, so the same recipe can be materialized repeatedly — every
-materialization compiles fresh stateful nodes and seeds them from the
-streams' current states.
+:meth:`repro.sql.Database.create_view`.  Each builder holds a function
+that builds its fresh node tree, so the same recipe can be materialized
+repeatedly — every materialization builds fresh stateful nodes and seeds
+them from the streams' current states.
 
 Chaos: every push crosses the ``ivm.push`` fault point *before* any state
 mutates, so an injected fault leaves stream and views untouched
@@ -26,7 +26,7 @@ mutates, so an injected fault leaves stream and views untouched
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import IvmError
 from repro.obs import metrics
@@ -37,6 +37,7 @@ from repro.ivm.operators import (
     DistinctNode,
     FilterNode,
     GroupByNode,
+    IntegrateNode,
     JoinNode,
     Node,
     ProjectNode,
@@ -102,19 +103,11 @@ class StreamTable:
 
     # -- mutation ---------------------------------------------------------
 
-    def _conform(self, table: Table) -> Table:
-        if table.schema != self.schema:
-            raise IvmError(
-                f"table schema {table.schema} does not match stream "
-                f"{self.name!r} schema {self.schema}"
-            )
-        return table
-
     def insert(self, table: Table) -> None:
-        self.push(Delta.inserts(self._conform(table)))
+        self.push(Delta.inserts(table))
 
     def delete(self, table: Table) -> None:
-        self.push(Delta.deletes(self._conform(table)))
+        self.push(Delta.deletes(table))
 
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> None:
         self.insert(Table.from_rows([tuple(r) for r in rows],
@@ -163,7 +156,7 @@ class StreamTable:
 
     def view(self) -> "ViewBuilder":
         """Start a view definition rooted at this stream."""
-        return ViewBuilder(_Spec("scan", (self,), ()))
+        return ViewBuilder(lambda: ScanNode(self))
 
     def _register(self, view: "MaterializedView") -> None:
         self._views.append(view)
@@ -173,113 +166,76 @@ class StreamTable:
             self._views.remove(view)
 
 
-class _Spec:
-    """One immutable node of a view recipe: kind, args, child specs."""
-
-    __slots__ = ("kind", "args", "inputs")
-
-    def __init__(self, kind: str, args: tuple, inputs: tuple):
-        self.kind = kind
-        self.args = args
-        self.inputs = inputs
-
-    def build(self) -> Node:
-        children = [child.build() for child in self.inputs]
-        if self.kind == "scan":
-            return ScanNode(self.args[0])
-        if self.kind == "filter":
-            return FilterNode(children[0], self.args[0])
-        if self.kind == "project":
-            return ProjectNode(children[0], self.args[0], self.args[1])
-        if self.kind == "union":
-            return UnionNode(children[0], children[1])
-        if self.kind == "join":
-            return JoinNode(children[0], children[1], self.args[0],
-                            self.args[1])
-        if self.kind == "group_by":
-            return GroupByNode(children[0], self.args[0], self.args[1])
-        if self.kind == "distinct":
-            return DistinctNode(children[0])
-        raise IvmError(f"unknown view operator {self.kind!r}")
-
-
 class ViewBuilder:
     """Fluent, immutable view recipe over one or more streams.
 
-    Every method returns a new builder; :meth:`materialize` compiles the
+    Every method returns a new builder; :meth:`materialize` builds the
     recipe into fresh operator nodes, seeds them from the current stream
     states, and registers the view for future pushes.
     """
 
-    def __init__(self, spec: _Spec) -> None:
-        self._spec = spec
+    def __init__(self, build: Callable[[], Node]) -> None:
+        self._build = build
 
     def filter(self, predicate) -> "ViewBuilder":
         """Keep rows where ``predicate`` holds — a vectorized callable
         ``Table -> bool mask``."""
-        return ViewBuilder(_Spec("filter", (predicate,), (self._spec,)))
+        return ViewBuilder(lambda: FilterNode(self._build(), predicate))
 
     def project(self, names: Sequence[str],
                 rename: dict[str, str] | None = None) -> "ViewBuilder":
-        return ViewBuilder(
-            _Spec("project", (list(names), dict(rename or {})), (self._spec,))
-        )
+        names, rename = list(names), dict(rename or {})
+        return ViewBuilder(lambda: ProjectNode(self._build(), names, rename))
 
     def join(self, other: "ViewBuilder | StreamTable",
              on: Sequence[tuple[str, str]] | str,
              suffix: str = "_r") -> "ViewBuilder":
-        other_spec = (other.view()._spec if isinstance(other, StreamTable)
-                      else other._spec)
-        return ViewBuilder(
-            _Spec("join", (on, suffix), (self._spec, other_spec))
-        )
+        right = other.view() if isinstance(other, StreamTable) else other
+        return ViewBuilder(lambda: JoinNode(self._build(), right._build(), on,
+                                            suffix))
 
     def union(self, other: "ViewBuilder | StreamTable") -> "ViewBuilder":
-        other_spec = (other.view()._spec if isinstance(other, StreamTable)
-                      else other._spec)
-        return ViewBuilder(_Spec("union", (), (self._spec, other_spec)))
+        right = other.view() if isinstance(other, StreamTable) else other
+        return ViewBuilder(lambda: UnionNode(self._build(), right._build()))
 
     def group_by(self, keys: Sequence[str],
                  aggregates: Sequence[tuple[str, str | None, str]],
                  ) -> "ViewBuilder":
+        keys, aggregates = list(keys), list(aggregates)
         return ViewBuilder(
-            _Spec("group_by", (list(keys), list(aggregates)), (self._spec,))
-        )
+            lambda: GroupByNode(self._build(), keys, aggregates))
 
     def distinct(self) -> "ViewBuilder":
-        return ViewBuilder(_Spec("distinct", (), (self._spec,)))
+        return ViewBuilder(lambda: DistinctNode(self._build()))
 
     def materialize(self, name: str = "view", *,
                     order_by: tuple[str, bool] | None = None,
                     limit: int | None = None) -> "MaterializedView":
-        return MaterializedView(name, self._spec.build(),
+        return MaterializedView(name, self._build(),
                                 order_by=order_by, limit=limit)
 
 
 class MaterializedView:
     """An always-fresh query result maintained by deltas.
 
-    Holds the root operator node and the result as a
-    :class:`~repro.ivm.zset.Ledger`: applying a push adds the root's
-    output delta to it (delta-sized work), and :meth:`table` reads its
-    nonzero rows, cached until the next change.  ``order_by``/``limit``
-    are read-time decorations (SQL views use them); the maintained state
-    is always the full unordered result.
+    Holds only its root node: a push advances the tree by one delta
+    (delta-sized work), and :meth:`table` reads the root's
+    :meth:`~repro.ivm.operators.Node.output`, cached until the next
+    change.  ``order_by``/``limit`` are read-time decorations (SQL views
+    use them); the maintained state is always the full unordered result.
     """
 
     def __init__(self, name: str, root: Node, *,
                  order_by: tuple[str, bool] | None = None,
                  limit: int | None = None) -> None:
         self.name = name
-        self.root = root
+        self.root = root if root.output() is not None else IntegrateNode(root)
         self.order_by = order_by
         self.limit = limit
-        self._rows = Ledger(root.schema, f"view {name!r}")
         self._table: Table | None = None
         self._last_push: tuple[int, int] | None = None
         streams = sorted(root.streams, key=lambda s: s.name)
-        self._absorb(root.delta({stream: stream._rows.zset()
-                                 for stream in streams}))
+        self.root.delta({stream: stream._rows.zset() for stream in streams})
         for stream in streams:
             stream._register(self)
 
@@ -295,26 +251,17 @@ class MaterializedView:
                    view=self.name) as s:
             out = self.root.delta({stream: delta})
             if len(out):
-                self._absorb(out)
                 self._table = None
             self._last_push = (len(delta), len(out))
             metrics.counter("ivm.views.applies").inc()
             metrics.counter("ivm.views.rows_emitted").inc(len(out))
             s.set(rows_out=len(out))
 
-    def _absorb(self, out: ZSet) -> None:
-        self._rows.add(out.payload.columns(), out.weights)
-        self._rows.compact()
-
-    def output(self) -> ZSet:
-        """The maintained result as a consolidated Z-set."""
-        return self._rows.zset()
-
     def table(self) -> Table:
         """The maintained result as a plain table (cached until the next
         delta), with any ``order_by``/``limit`` read options applied."""
         if self._table is None:
-            out = self.output().expand()
+            out = self.root.output().expand()
             if self.order_by is not None:
                 col, descending = self.order_by
                 out = out.order_by(col, descending=descending)

@@ -24,8 +24,8 @@ the values lie on a dyadic grid (docs/ivm.md, "float exactness").
 
 A :class:`Ledger` is the in-place form of a consolidated Z-set, and the
 one kind of weighted-row state ``repro.ivm`` keeps: a stream's rows, a
-group-by's groups, a distinct's rows and a view's output (docs/ivm.md,
-"State on arrays").
+group-by's groups, a distinct's rows and an integrate node's output
+(docs/ivm.md, "State on arrays").
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ class ZSet:
         return self.consolidate().expand()
 
     def expand(self) -> Table:
-        """:meth:`to_table` of an already consolidated Z-set: each row
-        repeated per its weight, without consolidating again."""
+        """Each row repeated per its weight, without consolidating: the
+        bag of :meth:`to_table` for any nonnegative weights."""
         if len(self) == 0:
             return self.payload
         if (self.weights < 0).any():

@@ -6,7 +6,9 @@ plan plus one human-readable annotation per applied rewrite (surfaced by
 
 1. **constant folding** — literal-only subtrees collapse via the same
    row evaluator the naive executor uses (so ``1/0`` folds to NULL, not
-   an error), and always-true filters disappear.
+   an error), and always-true filters disappear.  A SELECT item or an
+   aggregate argument that folds to NULL stays unfolded, so its dtype is
+   the evaluator's, as in the naive executor.
 2. **predicate pushdown** — AND-conjuncts of every WHERE move through
    inner joins toward the side whose columns they reference (right-side
    refs rewritten through the join's compile-time renames) and below
@@ -99,7 +101,7 @@ def fold_expr(expr: Expr) -> Expr:
     if isinstance(expr, FuncCall):
         if expr.argument == "*":
             return expr
-        arg = fold_expr(expr.argument)
+        arg = _fold_typed(expr.argument)
         return expr if arg is expr.argument else FuncCall(expr.name, arg)
     if isinstance(expr, UnaryOp):
         operand = fold_expr(expr.operand)
@@ -118,12 +120,21 @@ def fold_expr(expr: Expr) -> Expr:
     return expr
 
 
+def _fold_typed(expr: Expr) -> Expr:
+    """:func:`fold_expr` for a value whose dtype the output reports (a
+    SELECT item, an aggregate's argument): a subtree that folds to NULL
+    stays unfolded, since a NULL literal has no dtype of its own and the
+    schema-typed evaluator types the expression as naive does."""
+    out = fold_expr(expr)
+    return expr if isinstance(out, Literal) and out.value is None else out
+
+
 def _fold_items(items: tuple[SelectItem, ...],
                 notes: list[str]) -> tuple[SelectItem, ...]:
     folded = []
     changed = False
     for item in items:
-        expr = fold_expr(item.expr)
+        expr = _fold_typed(item.expr)
         if expr is not item.expr:
             notes.append(
                 f"constant_folding: {render_expr(item.expr)} "

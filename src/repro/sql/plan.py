@@ -23,7 +23,7 @@ used to match a query prefix against registered materialized views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import SchemaError
@@ -32,7 +32,6 @@ from repro.sql.expr import (
     AggregateItems,
     check_row_expr,
     default_name,
-    expr_columns,
     expr_dtype,
     has_aggregate,
     render_expr,
@@ -295,24 +294,3 @@ def plan_key(node: Node) -> str:
     if isinstance(node, Limit):
         return f"limit({plan_key(node.child)},{node.n})"
     raise TypeError(f"unknown plan node {node!r}")
-
-
-def replace_child(node: Node, child: Node) -> Node:
-    """A copy of a single-input node with its input replaced."""
-    return replace(node, child=child)
-
-
-def referenced_columns(node: Node) -> set[str]:
-    """Input columns a single node itself references (not its subtree)."""
-    if isinstance(node, Filter):
-        return expr_columns(node.predicate)
-    if isinstance(node, Sort):
-        return {node.column}
-    if isinstance(node, (Project, Aggregate)):
-        out: set[str] = set(getattr(node, "group_by", ()))
-        for item in node.items:
-            out |= expr_columns(item.expr)
-        return out
-    if isinstance(node, Join):
-        return {node.left_col, node.right_col}
-    return set()

@@ -238,3 +238,34 @@ class TestSummarizeCompare:
         summary = json.loads((tmp_path / "BENCH_summary.json").read_text())
         assert summary["schema_version"] == 1
         assert summary["benches"]["obs"]["git_rev"] == "deadbeef"
+
+    def test_smoke_artifacts_are_checked_for_presence_only(self, tmp_path):
+        from benchmarks.summarize import compare
+
+        self._artifact(tmp_path, "ivm", {"smoke": True, "speedup": 0.9})
+        self._artifact(tmp_path, "shard", {"smoke": False,
+                                           "join": {"speedup": 0.4}})
+        summary = self._collect(tmp_path)
+        failures = compare(summary, {"metrics": {
+            # A smoke-size number below its full-size floor passes...
+            "ivm.speedup": {"min": 10.0},
+            # ...a missing one from a smoke artifact still fails...
+            "ivm.recompute_seconds": {"max": 1.0},
+            # ...and a full run is still value-gated.
+            "shard.join.speedup": {"min": 3.0},
+        }})
+        assert len(failures) == 2
+        assert any(f.startswith("ivm.recompute_seconds: missing")
+                   for f in failures)
+        assert any(f.startswith("shard.join.speedup: 0.4 < min")
+                   for f in failures)
+
+    def test_summary_stamps_every_artifacts_rev(self, tmp_path):
+        self._artifact(tmp_path, "obs", {"overhead_fraction": 0.01})
+        self._artifact(tmp_path, "ivm", {"speedup": 11.0})
+        assert self._collect(tmp_path)["git_rev"] == "deadbeef"
+        self._artifact(tmp_path, "table", {"git_rev": "cafef00d"})
+        summary = self._collect(tmp_path)
+        assert summary["revs"] == {"ivm": "deadbeef", "obs": "deadbeef",
+                                   "table": "cafef00d"}
+        assert summary["git_rev"] == "mixed"

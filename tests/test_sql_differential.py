@@ -373,3 +373,15 @@ def test_shrinker_reports_a_smaller_repro(monkeypatch):
     assert sql in head
     assert orders.count("(") == 1 and orders.endswith(")]")
     assert customers.endswith(": []") and products.endswith(": []")
+
+
+@pytest.mark.parametrize("sql", [
+    "select o_id, 1 / 0 as d, 1 + null as e from orders",
+    "select o_id, -(1 / 0) as d, 1 / 0 = 1 as e from orders",
+    "select cust, sum(1 / 0) as s from orders group by cust",
+])
+def test_items_folding_to_null_keep_one_dtype(sql):
+    """Constant folding leaves an item that folds to NULL to the
+    schema-typed evaluator, so every engine reports naive SQL's dtype."""
+    static = _Static(_random_tables(random.Random(0), 20))
+    assert _mismatch(static, sql, sql) is None

@@ -118,10 +118,7 @@ class Trace:
             if len(delta) == 0:
                 return
         start = self._len
-        if start:
-            self._parts.append(delta)
-        else:
-            self._parts = [delta]
+        self._parts = [*self._parts, delta] if start else [delta]
         self._index = self._index.insert(
             hashes, np.arange(start, start + len(delta)))
         self._len += len(delta)
@@ -483,9 +480,13 @@ class GroupByNode(Node):
                     folds[g](v, wi)
 
     def output(self) -> ZSet:
-        """Each live group's last emitted row, at weight 1."""
-        rows = [entry[-1] for entry in self._slots if entry is not None]
-        return ZSet.from_table(Table.from_rows(rows, schema=self.schema))
+        """Each live group's last emitted row, at weight 1: the keys from
+        the group ledger, the aggregates from the rows (trusted)."""
+        live = [g for g, entry in enumerate(self._slots) if entry is not None]
+        cols = self._groups.columns(np.array(live, np.int64))
+        cols += [Column.build([self._slots[g][-1][i] for g in live], f.dtype)
+                 for i, f in enumerate(self.schema) if i >= len(self.keys)]
+        return ZSet.from_table(Table.from_columns(self.schema, cols))
 
     def describe(self) -> str:
         aggs = ", ".join(f"{fn}({col or '*'}) AS {out}"

@@ -110,12 +110,10 @@ class StreamTable:
         self.push(Delta.deletes(table))
 
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        self.insert(Table.from_rows([tuple(r) for r in rows],
-                                    schema=self.schema))
+        self.insert(Table.from_rows(rows, schema=self.schema))
 
     def delete_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        self.delete(Table.from_rows([tuple(r) for r in rows],
-                                    schema=self.schema))
+        self.delete(Table.from_rows(rows, schema=self.schema))
 
     def push(self, delta: ZSet) -> None:
         """Apply one delta batch: validate, advance state, notify views.

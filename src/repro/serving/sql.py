@@ -11,9 +11,11 @@
   view is uncached (``None``): those change without a catalog change.
   Whether it reads only static tables comes from the database's template
   plan cache (:meth:`Database.reads_static`), which plans a new template
-  there, so a served static query is parsed at most once per template.
-  Text that does not parse or plan is uncached too; it fails in
-  ``run_batch`` instead;
+  there, so a served query is parsed at most once per template.  Stream
+  and view reads reuse that plan too — only the answer is never cached,
+  since ``run_batch`` binds the plan to the current snapshot.  Text that
+  does not parse or plan is uncached too; it fails in ``run_batch``
+  instead;
 - ``fallback`` is the degraded tier: when the database fans shard kernels
   out over a ``pmap``, a failed query re-runs on the serial naive
   executor (``optimizer=False``), which never touches the pool — a lost

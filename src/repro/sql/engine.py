@@ -17,8 +17,9 @@ equivalence oracle behind ``optimizer=False``.
 :meth:`Database.query` on the optimizer path goes through a template plan
 cache (:mod:`repro.sql.plancache`): a statement that differs from an
 earlier one only in its literals skips parse, compile and optimize, and
-is only bound and executed.  ``explain``, ``create_view`` and
-``optimizer=False`` stay uncached.
+is only bound and executed — over static tables, streams and views
+alike, since binding reads the current snapshot.  ``explain``,
+``create_view`` and ``optimizer=False`` stay uncached.
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ class Database:
         self._views[name] = view
         self.version += 1
         try:
-            node, _ = optimize(plan_ir.compile_query(query, self), self,
-                               prune=False, reorder=False)
+            node, _notes, _stats = optimize(
+                plan_ir.compile_query(query, self), self, prune=False,
+                reorder=False)
             self._view_keys[plan_ir.plan_key(node)] = name
         except Exception:
             # Fingerprinting is best-effort: a view outside the plannable
@@ -255,6 +257,8 @@ class Database:
         plan-based path, which reuses a cached template's plan when only
         the literals differ (:mod:`repro.sql.plancache`; the span's
         ``plan_cache`` attribute says ``hit``, ``miss`` or ``bypass``).
+        A stream or view read reuses plans too, and still sees every push:
+        each call binds the plan to the current snapshot.
         """
         with tracing.span("sql.query", sql=sql.strip()) as s:
             if self._optimizer if optimizer is None else optimizer:
@@ -280,13 +284,15 @@ class Database:
         """``(status, optimized plan)`` for a token stream; ``status`` says
         how the template cache served it: ``hit`` (no parse, compile or
         optimize), ``miss`` (planned and cached) or ``bypass`` (a template
-        that may not be reused, planned again)."""
+        that may not be reused, planned again: ``Template.verdict`` says
+        why).  The plan is unbound; binding reads the tables as they are
+        now."""
         template, values, node = self._template(tokens)
         if node is not None:
             return "miss", node
         if template.plan is not None:
             return "hit", template.instantiate(values)
-        return "bypass", self._optimized(parse_sql(tokens))
+        return "bypass", self._optimize(parse_sql(tokens))[0]
 
     def _template(self, tokens: list[tuple[str, str]]
                   ) -> tuple[Template, list[Any], plan_ir.Node | None]:
@@ -299,22 +305,35 @@ class Database:
         if template is not None:
             return template, values, None
         query = parse_sql(tokens)
-        node = self._optimized(query)
-        static = all(self.is_static(name) for name in
-                     [query.table, *(join.table for join in query.joins)])
-        template = Template.build(query, node, positions, static)
+        node, _notes, stats_read = self._optimize(query)
+        template = self._new_template(query, node, positions, stats_read)
         self._plans.put(key, version, template)
         return template, values, node
 
-    def _optimized(self, query: Query) -> plan_ir.Node:
-        node, _notes = optimize(plan_ir.compile_query(query, self), self,
-                                view_keys=self._view_keys or None)
-        return node
+    def _new_template(self, query: Query, node: plan_ir.Node,
+                      positions: list[int], stats_read: list[str]
+                      ) -> Template:
+        """The template of ``query`` (slots at token ``positions``),
+        optimized to ``node`` after reading the stats of ``stats_read``:
+        stats of a stream or a view make it "do not reuse"."""
+        static = all(self.is_static(name) for name in
+                     [query.table, *(join.table for join in query.joins)])
+        volatile = [f"{'stream' if name in self._streams else 'view'} {name}"
+                    for name in stats_read if not self.is_static(name)]
+        return Template.build(query, node, positions, static, volatile)
+
+    def _optimize(self, query: Query
+                  ) -> tuple[plan_ir.Node, list[str], list[str]]:
+        return optimize(plan_ir.compile_query(query, self), self,
+                        view_keys=self._view_keys or None)
 
     def explain(self, sql: str, analyze: bool = False,
                 optimizer: bool | None = None) -> str:
         """EXPLAIN: logical, optimized, and physical plans for ``sql``,
-        with one annotation per applied rewrite rule.
+        with one annotation per applied rewrite rule and the template plan
+        cache's verdict on the statement: ``reusable``, or ``not reused``
+        with the reason (a slot folded away, or stats read from a stream
+        or view), so a read that plans on every call says why.
 
         With ``analyze=True`` the query actually executes and each stage
         reports its measured rows in/out, selectivity and wall-clock time
@@ -327,15 +346,18 @@ class Database:
         described instead (the before/after views in docs/sql.md diff the
         two renderings).
         """
-        query = parse_sql(sql)
+        tokens = tokenize(sql)
+        query = parse_sql(tokens)
         use_optimizer = self._optimizer if optimizer is None else optimizer
         lines = [f"sql: {sql.strip()}"]
         physical = None
         # The planner's checks reject a query on either engine.
         logical = plan_ir.compile_query(query, self)
         if use_optimizer:
-            optimized, notes = optimize(logical, self,
-                                        view_keys=self._view_keys or None)
+            optimized, notes, stats_read = optimize(
+                logical, self, view_keys=self._view_keys or None)
+            template = self._new_template(query, optimized,
+                                          template_key(tokens)[1], stats_read)
             physical = bind(optimized, self, self.pmap)
             lines.append("logical plan:")
             lines += ["  " + row
@@ -347,6 +369,7 @@ class Database:
                       for row in plan_ir.render_plan(optimized).splitlines()]
             lines.append("physical plan:")
             lines += ["  " + row for row in physical.render().splitlines()]
+            lines.append(f"plan cache: {template.verdict}")
         else:
             lines.append("plan:")
             lines += [f"  -> {step}" for step in _describe(query, self)]

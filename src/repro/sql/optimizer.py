@@ -1,8 +1,10 @@
 """Rule-based optimizer over the logical plan IR.
 
 :func:`optimize` runs a fixed rule pipeline and returns the rewritten
-plan plus one human-readable annotation per applied rewrite (surfaced by
-``Database.explain()``):
+plan, one human-readable annotation per applied rewrite (surfaced by
+``Database.explain()``) and the tables whose statistics a rule read —
+the only way the plan can depend on the data rather than on the query
+and the schemas:
 
 1. **constant folding** — literal-only subtrees collapse via the same
    row evaluator the naive executor uses (so ``1/0`` folds to NULL, not
@@ -65,8 +67,9 @@ __all__ = ["optimize", "split_conjuncts"]
 
 def optimize(node: Node, catalog, *, view_keys: dict[str, str] | None = None,
              prune: bool = True, reorder: bool = True
-             ) -> tuple[Node, list[str]]:
-    """Run the rule pipeline; returns ``(plan, rewrite annotations)``.
+             ) -> tuple[Node, list[str], list[str]]:
+    """Run the rule pipeline; returns ``(plan, rewrite annotations, tables
+    whose stats were read)``, the last in first-read order.
 
     ``catalog`` provides ``schema_of(name)`` (always) and ``stats_of(name)``
     (only consulted when ``reorder`` is on).  The view compiler calls this
@@ -74,6 +77,13 @@ def optimize(node: Node, catalog, *, view_keys: dict[str, str] | None = None,
     ad-hoc subtree fingerprints come from the same pipeline stage.
     """
     notes: list[str] = []
+    stats_read: list[str] = []
+
+    def stats_of(name: str) -> dict:
+        if name not in stats_read:
+            stats_read.append(name)
+        return catalog.stats_of(name)
+
     node = _fold_node(node, notes)
     node = _push(node, [], catalog, notes)
     if view_keys:
@@ -81,8 +91,8 @@ def optimize(node: Node, catalog, *, view_keys: dict[str, str] | None = None,
     if prune:
         node = _prune(node, None, catalog, notes)
     if reorder:
-        node = _reorder(node, catalog, notes, covered=False)
-    return node, notes
+        node = _reorder(node, catalog, stats_of, notes, covered=False)
+    return node, notes, stats_read
 
 
 # -- constant folding ----------------------------------------------------------
@@ -403,8 +413,10 @@ def _predicate_selectivity(expr: Expr, stats: dict) -> float:
     return 1.0 / 3.0
 
 
-def _reorder(node: Node, catalog, notes: list[str], covered: bool) -> Node:
-    """Reorder chains of inner joins most-selective-first.
+def _reorder(node: Node, catalog, stats_of, notes: list[str],
+             covered: bool) -> Node:
+    """Reorder chains of inner joins most-selective-first, reading table
+    statistics through ``stats_of``.
 
     Only fires when byte-identical output is provable: all right-side
     join keys unique (fanout <= 1, so each join is a pure filter on the
@@ -415,12 +427,11 @@ def _reorder(node: Node, catalog, notes: list[str], covered: bool) -> Node:
     """
     if isinstance(node, (Scan, ViewScan)):
         return node
-    if isinstance(node, (Project, Aggregate)):
-        return replace(node, child=_reorder(node.child, catalog, notes,
-                                            covered=True))
     if not isinstance(node, Join):
-        return replace(node, child=_reorder(node.child, catalog, notes,
-                                            covered=covered))
+        child = _reorder(node.child, catalog, stats_of, notes,
+                         covered=covered or isinstance(node, (Project,
+                                                              Aggregate)))
+        return replace(node, child=child)
 
     # Collect the left-deep chain of joins above a non-join base.
     units: list[Join] = []
@@ -428,15 +439,15 @@ def _reorder(node: Node, catalog, notes: list[str], covered: bool) -> Node:
     while isinstance(cursor, Join):
         units.append(cursor)
         cursor = cursor.left
-    base = _reorder(cursor, catalog, notes, covered=covered)
+    base = _reorder(cursor, catalog, stats_of, notes, covered=covered)
     units.reverse()                      # innermost-first
 
     def bail() -> Node:
         out = base
         for unit in units:
             out = replace(unit, left=out,
-                          right=_reorder(unit.right, catalog, notes,
-                                         covered=covered))
+                          right=_reorder(unit.right, catalog, stats_of,
+                                         notes, covered=covered))
         return out
 
     if len(units) < 2:
@@ -447,14 +458,13 @@ def _reorder(node: Node, catalog, notes: list[str], covered: bool) -> Node:
             return bail()
         if any(src != out for src, out in unit.renames):
             return bail()
-        if not _unique_key(catalog.stats_of(unit.table), unit.right_col):
+        if not _unique_key(stats_of(unit.table), unit.right_col):
             return bail()
 
     ranked = sorted(
         range(len(units)),
         key=lambda i: (_filter_selectivity(units[i].right,
-                                           catalog.stats_of(units[i].table)),
-                       i),
+                                           stats_of(units[i].table)), i),
     )
     # Greedy placement respecting key availability.
     available = set(output_names(base, catalog))

@@ -13,14 +13,21 @@ A template stores the optimized logical plan together with the parser's
 slot :class:`~repro.sql.ast.Literal` objects.  A hit rebuilds the plan
 with the new values in place of those literals, matched by identity, and
 the caller binds it afresh: binding reads literal values (the key-index
-probe) and output names.  A plan is stored for reuse only when
+probe) and output names, and reads each stream's snapshot and each
+view's table, so every push is visible to the next call.  A plan is
+stored for reuse, over static tables, streams and views alike, unless
 
-* every table the query reads is static (a stream or a view changes
-  without a catalog version bump, and only stream plans can match a view
-  fingerprint), and
-* every slot literal still appears, by identity, in the optimized plan —
-  constant folding consumes slots (``oid = 1 + 2``), and such a template
-  is stored as "do not reuse".
+* the optimizer read the statistics of a stream or a view — the only
+  way an optimized plan depends on data that changes without a catalog
+  version bump (join reordering reads key uniqueness and selectivities;
+  schemas, view fingerprints and partitioning change only through
+  catalog calls, which bump the version), or
+* a slot literal no longer appears, by identity, in the optimized plan —
+  constant folding consumes slots (``oid = 1 + 2``), and so does a view
+  substituted for a subtree that held one.
+
+Such a template is stored as "do not reuse", with the reason
+(:attr:`Template.verdict`, shown by ``Database.explain``).
 
 The cache holds :data:`CAPACITY` templates, evicting first-in first-out,
 and belongs to one catalog version: a lookup under a newer version clears
@@ -96,31 +103,42 @@ def template_key(tokens: list[tuple[str, str]]
 
 class Template:
     """One cached query shape.  ``static`` says whether every table it
-    reads is static; ``plan`` is the optimized plan to reuse, or None
-    when the template may not be reused."""
+    reads is static (the serving result cache's rule); ``plan`` is the
+    optimized plan to reuse, or None when the template may not be reused,
+    for the reason ``why``."""
 
-    __slots__ = ("static", "plan", "slots")
+    __slots__ = ("static", "plan", "slots", "why")
 
     def __init__(self, static: bool, plan: Node | None = None,
-                 slots: tuple[tuple[Literal, bool], ...] = ()):
+                 slots: tuple[tuple[Literal, bool], ...] = (),
+                 why: str = ""):
         self.static = static
         self.plan = plan
         self.slots = slots
+        self.why = why
 
     @classmethod
     def build(cls, query: Query, plan: Node, positions: list[int],
-              static: bool) -> "Template":
+              static: bool, volatile_stats: list[str]) -> "Template":
         """The template for ``query`` (parsed from a stream whose slots sit
-        at ``positions``) optimized to ``plan``."""
-        if not static:
-            return cls(False)
+        at ``positions``) optimized to ``plan``; ``volatile_stats`` names
+        each stream or view whose stats the optimizer read."""
+        if volatile_stats:
+            return cls(static, why="stats read from "
+                       + ", ".join(volatile_stats))
         slots = tuple(query.literals[pos] for pos in positions)
         # A slot the optimizer consumed leaves the plan unchanged when
         # substituted.
         if any(_substitute(plan, {id(literal): Literal(literal.value)}) is plan
                for literal, _ in slots):
-            return cls(True)
-        return cls(True, plan, slots)
+            return cls(static, why="a slot was folded or substituted away")
+        return cls(static, plan, slots)
+
+    @property
+    def verdict(self) -> str:
+        """``reusable``, or ``not reused (<why>)``."""
+        return "reusable" if self.plan is not None else \
+            f"not reused ({self.why})"
 
     def instantiate(self, values: list[Any]) -> Node:
         """The stored plan with ``values`` (from :func:`template_key`) in

@@ -85,7 +85,7 @@ def compile_view(name: str, query: Query,
         # surface it under the view-compilation error type.
         raise IvmError(f"view {name!r}: {exc}") from exc
     # Filters below joins and pruned scans keep the join traces small.
-    plan, _notes = optimize(plan, catalog, reorder=False)
+    plan, _notes, _stats = optimize(plan, catalog, reorder=False)
 
     # Peel read-time options: LIMIT caps the top, and the Sort node (above
     # an Aggregate, or below the Project for plain queries) becomes the

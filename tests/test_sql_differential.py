@@ -63,10 +63,11 @@ _IN_LISTS = [("status", ["'gold'", "'new'", "'vip'"]),
              ("cust", ["1", "3", "5"]),
              ("amount", ["2.25", "3", "7.5"])]
 
-# ``/`` is true division, by zero NULL; ``-0.0`` equals ``0.0``.
+# ``/`` is true division, by zero NULL; ``-0.0`` equals ``0.0``;
+# ``null is null`` folds to TRUE without consuming a plan-cache slot.
 _ARITHMETIC_ATOMS = ["amount + 1 > 6", "cust * 2 = 4", "amount - cust > 3",
                      "amount / 2 > 3", "cust / 2 = 1", "amount / cust > 1",
-                     "cust / 0 is null", "amount = -0.0"]
+                     "cust / 0 is null", "amount = -0.0", "null is null"]
 
 
 def _random_predicate(rng: random.Random, columns: list[str]) -> str:
@@ -87,8 +88,11 @@ def _random_predicate(rng: random.Random, columns: list[str]) -> str:
             return f"{column} {neg}in ({', '.join(values)})"
         if kind == 3:
             return f"cust = {rng.randrange(8)}"
-        if kind == 4 and "country" in columns:
-            return f"country = '{rng.choice(['jp', 'us', 'de'])}'"
+        dimensions = [c for c in ("country", "category") if c in columns]
+        if kind == 4 and dimensions:
+            column = rng.choice(dimensions)
+            pool = ["jp", "us", "de"] if column == "country" else _CATEGORIES
+            return f"{column} = '{rng.choice(pool)}'"
         if kind == 5:
             return rng.choice(_EQUALITY_ATOMS).format(
                 key=rng.randrange(120), missing=1000 + rng.randrange(5))
@@ -302,20 +306,27 @@ _BATCHES = (("orders", 5, 3), ("customers", 2, 2), ("orders", 80, 70),
 
 
 def _maintained(rng: random.Random, tables: dict[str, Table],
-                draws: list[str]):
+                pairs: list[tuple[str, str]]):
     """A stream database over ``tables`` with a view per draw that
-    ``create_view`` accepts, after ``_BATCHES``."""
+    ``create_view`` accepts, after ``_BATCHES``, and per view the SQL that
+    reads it.  Each draw's sibling and each view read run through
+    ``query`` before the last push, so the same templates after it are
+    plan-cache hits wherever they may be reused."""
     live = Database()
     streams = {name: live.register_stream(name, table)
                for name, table in tables.items()}
     views = []
-    for i, sql in enumerate(draws):
+    for i, (sql, _sib) in enumerate(pairs):
         try:
-            views.append((sql, live.create_view(f"v{i}", sql)))
+            live.create_view(f"v{i}", sql)
+            views.append((sql, f"select * from v{i}"))
         except IvmError:
             assert " group by " not in sql, sql
     next_id = tables["orders"].num_rows
-    for name, inserts, deletes in _BATCHES:
+    for step, (name, inserts, deletes) in enumerate(_BATCHES):
+        if step == len(_BATCHES) - 1:
+            for _sql, read in pairs + views:
+                live.query(read)
         if name == "customers":
             rows = [(rng.randrange(10), rng.choice(_COUNTRIES))
                     for _ in range(inserts)]
@@ -340,20 +351,59 @@ def _check_stream(seed: int, static: _Static, sql: str, got: Table) -> None:
 # -- the harness ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_every_engine_agrees(seed):
+#: What each seed's draws exercised, filled by test_every_engine_agrees so
+#: that the coverage test reads it instead of running the seeds again (a
+#: seed's result is deterministic, so a cached one equals a fresh one).
+_COVERAGE: dict[int, set[str]] = {}
+
+
+def _run(seed: int) -> set[str]:
+    """Check one seed's 25 draws on every engine; returns what they
+    exercised: the optimizer rules that fired, ``columnar[index]``, and
+    ``stream hit`` / ``view hit`` for plan-cache hits across a push."""
     rng = random.Random(seed)
     tables = _random_tables(rng, 60 + rng.randrange(60))
-    draws = [_random_query(rng) for _ in range(25)]
-    live, views = _maintained(rng, tables, draws)
+    pairs = [(sql, sibling(sql, rng))
+             for sql in [_random_query(rng) for _ in range(25)]]
+    live, views = _maintained(rng, tables, pairs)
     static = _Static({name: live.stream(name).snapshot()
                       for name in tables})
-    for sql in draws:
-        _check_static(seed, static, sql, sibling(sql, rng))
-    for sql, view in views:
-        _check_stream(seed, static, sql, view.table())
-    for sql in draws:
+    for sql, sib in pairs:
+        _check_static(seed, static, sql, sib)
+    seen: set[str] = set()
+    hits = metrics.counter("sql.plan_cache.hit")
+    for sql, read in views:
+        before = hits.value
+        _check_stream(seed, static, sql, live.query(read))
+        assert hits.value == before + 1, (seed, read)
+        seen.add("view hit")
+    for sql, _sib in pairs:
+        text = live.explain(sql)
+        seen.update(re.findall(r"^  - (\w+):", text, re.M))
+        if "[columnar[index]]" in text:
+            seen.add("columnar[index]")
+        before = hits.value
         _check_stream(seed, static, sql, live.query(sql))
+        if hits.value > before:
+            seen.add("stream hit")
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_every_engine_agrees(seed):
+    _COVERAGE[seed] = _run(seed)
+
+
+def test_every_rule_and_cache_path_fires():
+    """Over the 30 seeds, every optimizer rule, the key-index probe and
+    a plan-cache hit on a stream read and on a view read across a push
+    each happen at least once (seeds not yet run are run here)."""
+    seen = set().union(*(_COVERAGE[seed] if seed in _COVERAGE
+                         else _run(seed) for seed in range(30)))
+    assert seen >= {"constant_folding", "predicate_pushdown",
+                    "view_substitution", "projection_pruning",
+                    "join_reorder", "columnar[index]", "stream hit",
+                    "view hit"}, seen
 
 
 def test_shrinker_reports_a_smaller_repro(monkeypatch):

@@ -63,7 +63,7 @@ class TestRules:
         db = make_db()
         plan = compile_query(parse_sql(
             "select o_id from orders where amount > 1 + 2"), db)
-        folded, notes = optimize(plan, db)
+        folded, notes, _ = optimize(plan, db)
         assert any("constant_folding" in n for n in notes)
         assert "(amount > 3)" in render_plan(folded)
 
@@ -71,7 +71,7 @@ class TestRules:
         db = make_db()
         plan = compile_query(parse_sql(
             "select o_id from orders where 1 = 1"), db)
-        folded, notes = optimize(plan, db)
+        folded, notes, _ = optimize(plan, db)
         assert "removed always-true filter" in " ".join(notes)
         assert "filter" not in render_plan(folded)
 
@@ -89,7 +89,7 @@ class TestRules:
         plan = compile_query(parse_sql(
             "select o_id from orders join customers on cust = cust "
             "where amount > 5 and country = 'us'"), db)
-        pushed, notes = optimize(plan, db)
+        pushed, notes, _ = optimize(plan, db)
         pushdowns = [n for n in notes if "predicate_pushdown" in n]
         assert len(pushdowns) == 2
         text = render_plan(pushed)
@@ -118,7 +118,7 @@ class TestRules:
         )
         plan = Filter(agg, BinaryOp("=", ColumnRef("status"),
                                     Literal("gold")))
-        pushed, notes = optimize(plan, db)
+        pushed, notes, _ = optimize(plan, db)
         assert any("below aggregate" in n for n in notes)
         assert isinstance(pushed, Aggregate)
         assert isinstance(pushed.child, Filter)
@@ -127,7 +127,7 @@ class TestRules:
         db = make_db()
         plan = compile_query(parse_sql(
             "select status from orders where amount > 5"), db)
-        pruned, notes = optimize(plan, db)
+        pruned, notes, _ = optimize(plan, db)
         assert any("projection_pruning" in n for n in notes)
         scan = pruned
         while not isinstance(scan, Scan):
@@ -145,7 +145,7 @@ class TestRules:
                "join products on prod = p_id "
                "where category = 'toys'")
         plan = compile_query(parse_sql(sql), db)
-        reordered, notes = optimize(plan, db)
+        reordered, notes, _ = optimize(plan, db)
         assert any("join_reorder" in n for n in notes)
         # The filtered products join now runs before the customers join.
         text = render_plan(reordered)
@@ -159,7 +159,7 @@ class TestRules:
                "join customers on cust = cust "
                "join products on prod = p_id "
                "where category = 'toys'")
-        _, notes = optimize(compile_query(parse_sql(sql), db), db)
+        _, notes, _ = optimize(compile_query(parse_sql(sql), db), db)
         if any("join_reorder" in n for n in notes):
             assert any("column-order-restoring" in n for n in notes)
         assert_equivalent(db, sql, check_dtypes=True)

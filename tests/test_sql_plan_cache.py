@@ -175,7 +175,7 @@ class TestInvalidation:
         assert_matches_naive(db, self.SQL.format(3))
         assert statuses()[-2] == "miss"
 
-    def test_stream_and_view_reads_never_hit(self):
+    def test_stream_and_view_reads_hit_and_see_every_push(self):
         db = Database()
         live = db.register_stream("live", make_db().table("orders"))
         db.create_view("big", "select o_id, amount from live "
@@ -184,10 +184,54 @@ class TestInvalidation:
             live.insert_rows([(100 + i, 1, 10, 50.0 + i, "gold")])
             for sql in (f"select o_id from live where o_id = {100 + i}",
                         f"select o_id from big where o_id = {100 + i}"):
-                got = db.query(sql)
+                got = assert_matches_naive(db, sql)
                 assert rows_of(got) == [(100 + i,)], sql
-                assert last_status() in ("miss", "bypass"), sql
-        assert "hit" not in statuses()
+                assert statuses()[-2] == ("miss" if i == 0 else "hit"), sql
+        live.delete_rows([(102, 1, 10, 52.0, "gold")])
+        for name in ("live", "big"):
+            sql = f"select o_id from {name} where o_id = 102"
+            assert rows_of(assert_matches_naive(db, sql)) == [], sql
+            assert statuses()[-2] == "hit", sql
+
+    def test_stream_stats_read_by_reorder_block_reuse(self):
+        """Join reordering is exact only while every joined key is unique,
+        which it reads from stats: a plan reordered on a stream's stats is
+        planned again on every call, and stays exact once a push makes
+        the keys non-unique."""
+        base = make_db()
+        db = Database()
+        streams = {name: db.register_stream(name, base.table(name))
+                   for name in ("orders", "customers", "products")}
+        sql = ("select o_id, country, category from orders "
+               "join customers on cust = cust join products on prod = p_id "
+               "where category = 'tools'")
+        assert "join_reorder" in db.explain(sql)
+        assert "plan cache: not reused (stats read from stream customers, " \
+            "stream products)" in db.explain(sql)
+        assert_matches_naive(db, sql)
+        streams["customers"].insert_rows([(1, "de", "c")])
+        streams["products"].insert_rows([(10, "tools")])
+        got = assert_matches_naive(db, sql)
+        assert rows_of(got)[:4] == [(0, "jp", "tools"), (0, "jp", "tools"),
+                                    (0, "de", "tools"), (0, "de", "tools")]
+        assert statuses()[::2] == ["miss", "bypass"]
+        # Bailing out on a non-unique key read stats too.
+        text = db.explain(sql)
+        assert "join_reorder" not in text
+        assert text.endswith("plan cache: not reused "
+                             "(stats read from stream customers)")
+
+    def test_explain_gives_the_verdict(self):
+        db = make_db()
+        db.register_stream("live", db.table("customers"))
+        verdicts = {
+            "select o_id from orders where o_id = 3": "reusable",
+            "select cust from live where country = 'jp'": "reusable",
+            "select o_id from orders where o_id = 1 + 2":
+                "not reused (a slot was folded or substituted away)",
+        }
+        for sql, verdict in verdicts.items():
+            assert f"\nplan cache: {verdict}" in db.explain(sql), sql
 
     def test_more_templates_than_capacity(self):
         db = make_db()
@@ -219,6 +263,30 @@ class TestConcurrentAndServed:
                 [key] if key < 12 else [])
         assert len(parses) == 1
         assert statuses() == ["hit"] * 50
+
+    def test_served_view_reads_hit_but_are_not_result_cached(self):
+        db = Database()
+        live = db.register_stream("live", make_db().table("orders"))
+        db.create_view("by_status", "select status, count(*) as n, "
+                       "sum(amount) as total from live group by status")
+        backend = SqlBackend(db)
+        server = Server(workers=0)
+        server.register(backend)
+        sql = "select status, n from by_status where total > {} order by n"
+        for i in range(3):
+            live.insert_rows([(100 + i, 1, 10, 50.0, "vip")])
+            for threshold in (1, 1, 2):
+                text = sql.format(threshold)
+                assert backend.cache_key(text) is None
+                response = server.call("sql", text)
+                assert response.ok, response.error
+                assert not response.cache_hit
+                naive = db.query(text, optimizer=False)
+                assert encode_table(response.value) == encode_table(naive)
+                assert ("vip", 3 + i) in rows_of(response.value)
+        # cache_key planned the template once; every served read hits it.
+        assert statuses()[::2] == ["hit"] * 9
+        assert len(server.cache) == 0
 
     def test_concurrent_lookups(self):
         n = 2000

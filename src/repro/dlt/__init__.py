@@ -65,12 +65,11 @@ from repro.dlt.expectations import (
     not_null,
 )
 from repro.dlt.graph import PipelineGraph
-from repro.dlt.lineage import DltLog, TableEvent, get_log
+from repro.dlt.lineage import DltLog, TableResult, get_log
 from repro.dlt.runner import (
     TABLE_FN_POINT,
     Pipeline,
     RunResult,
-    TableResult,
 )
 from repro.dlt.storage import table_from_json
 from repro.table.storage import table_hash
@@ -90,7 +89,6 @@ __all__ = [
     "RunResult",
     "TABLE_FN_POINT",
     "TableDef",
-    "TableEvent",
     "TableResult",
     "col",
     "expect",

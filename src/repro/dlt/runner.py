@@ -23,8 +23,9 @@
   the process death they simulate, and the next run recovers;
 - **observability**: one ``dlt.run`` span per run with a ``dlt.table``
   child per table (rows_in/rows_out/dropped/quarantined attributes),
-  counters under ``dlt.*``, and a :class:`~repro.dlt.lineage.TableEvent`
-  per table feeding RunReport's ``dlt`` section;
+  counters under ``dlt.*``, and one :class:`~repro.dlt.lineage.TableResult`
+  per table, held by the :class:`RunResult` and appended to the lineage
+  log that feeds RunReport's ``dlt`` section;
 - **catalog**: tables of the configured layers (gold by default) register
   into a :class:`~repro.lake.DataLake` with ``overwrite=True``, so
   Symphony / text2sql route over pipeline outputs that refresh in place.
@@ -43,7 +44,7 @@ from repro.dlt.checkpoint import CheckpointStore, ManifestEntry
 from repro.dlt.decorators import TableDef, table_def
 from repro.dlt.expectations import Expectation
 from repro.dlt.graph import PipelineGraph
-from repro.dlt.lineage import TableEvent, get_log
+from repro.dlt.lineage import TableResult, get_log
 from repro.dlt.storage import fingerprint_parts
 from repro.errors import DltError, ExpectationFailedError
 from repro.obs import get_logger, instrument, metrics, span
@@ -61,43 +62,6 @@ TABLE_FN_POINT = "dlt.table_fn"
 DEFAULT_REGISTER_LAYERS = ("gold",)
 
 ON_ERROR_MODES = ("halt", "skip_downstream")
-
-
-@dataclass
-class TableResult:
-    """One table's outcome in one :meth:`Pipeline.run`.
-
-    ``appended`` means the incremental-source tail path ran: only the
-    source rows past the committed high-water mark went through the
-    transform, and the output was unioned onto the checkpoint.
-    ``rows_in``/``rows_out`` then count the *tail*, not history.
-    """
-
-    name: str
-    layer: str
-    status: str  # "materialized" | "appended" | "cached" | "failed" | "skipped"
-    rows_in: int = 0
-    rows_out: int = 0
-    dropped: int = 0
-    quarantined: int = 0
-    warned: int = 0
-    recomputed: bool = False
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("materialized", "appended", "cached")
-
-    def to_dict(self) -> dict[str, Any]:
-        out = {
-            "name": self.name, "layer": self.layer, "status": self.status,
-            "rows_in": self.rows_in, "rows_out": self.rows_out,
-            "dropped": self.dropped, "quarantined": self.quarantined,
-            "warned": self.warned, "recomputed": self.recomputed,
-        }
-        if self.error:
-            out["error"] = self.error
-        return out
 
 
 @dataclass
@@ -233,11 +197,18 @@ class Pipeline:
                 tdef = self.defs[name]
                 if halted or self._inputs_unavailable(tdef, run):
                     reason = "halted" if halted else "upstream failed"
-                    self._record_skip(run, tdef, reason)
+                    self._record(run, tdef, "skipped", error=reason)
                     continue
-                fingerprint = self._fingerprint(tdef, fingerprints)
-                fingerprints[name] = fingerprint
-                base_fp = self._tail_base_fingerprint(tdef)
+                # Code and contracts are hashed once; both fingerprints
+                # take them.
+                code = (_code_hash(tdef.fn), *[
+                    sig for exp in tdef.expectations
+                    for sig in exp.signature()])
+                fingerprint = fingerprints[name] = fingerprint_parts(
+                    tdef.name, tdef.layer, *code,
+                    *[fingerprints[dep] for dep in tdef.inputs],
+                )
+                base_fp = self._tail_base_fingerprint(tdef, code)
                 source_state = (
                     self._source_state(tdef, source_tables, source_hashes)
                     if base_fp is not None else None
@@ -248,24 +219,25 @@ class Pipeline:
                 # them.
                 entry = (store.entry(name)
                          if store is not None and not full_refresh else None)
+                tail = None
                 if entry is not None:
-                    if self._load_cached(store, tdef, entry, fingerprint,
-                                         run):
+                    committed = (self._read_committed(store, name, entry)
+                                 if entry.fingerprint == fingerprint else None)
+                    if committed is not None:
+                        cached, quarantine = committed
+                        self._record(
+                            run, tdef, "cached", cached, quarantine,
+                            rows_in=cached.num_rows, rows_out=cached.num_rows,
+                        )
                         continue
-                    handled = self._apply_tail(
-                        store, tdef, entry, fingerprint, base_fp,
-                        source_state, source_tables, run, on_error=on_error,
-                    )
-                    if handled is not None:
-                        if not handled and on_error == "halt":
-                            halted = True
-                        continue
-
-                ok = self._compute(tdef, fingerprint, source_tables, store,
-                                   run, on_error=on_error,
-                                   base_fingerprint=base_fp,
-                                   source_state=source_state)
-                if not ok and on_error == "halt":
+                    tail = self._apply_tail(store, tdef, entry, base_fp,
+                                            source_tables)
+                result = self._materialize(
+                    tdef, run, source_tables, store, tail,
+                    fingerprint=fingerprint, base_fingerprint=base_fp,
+                    source_state=source_state, on_error=on_error,
+                )
+                if not result.ok and on_error == "halt":
                     halted = True
         return run
 
@@ -299,16 +271,8 @@ class Pipeline:
             for dep in tdef.inputs
         )
 
-    def _fingerprint(self, tdef: TableDef,
-                     fingerprints: dict[str, str]) -> str:
-        """Content-hashed identity: code + contracts + upstream state."""
-        return fingerprint_parts(
-            tdef.name, tdef.layer, _code_hash(tdef.fn),
-            *[sig for exp in tdef.expectations for sig in exp.signature()],
-            *[fingerprints[dep] for dep in tdef.inputs],
-        )
-
-    def _tail_base_fingerprint(self, tdef: TableDef) -> str | None:
+    def _tail_base_fingerprint(self, tdef: TableDef,
+                               code: tuple[str, ...]) -> str | None:
         """The table's identity *excluding* source content, or None.
 
         Non-None marks the table eligible for the incremental-source tail
@@ -323,9 +287,7 @@ class Pipeline:
         if tdef.inputs[0] not in self.incremental_sources:
             return None
         return fingerprint_parts(
-            "base", tdef.name, tdef.layer, _code_hash(tdef.fn),
-            *[sig for exp in tdef.expectations for sig in exp.signature()],
-            *tdef.inputs,
+            "base", tdef.name, tdef.layer, *code, *tdef.inputs,
         )
 
     @staticmethod
@@ -352,20 +314,17 @@ class Pipeline:
             return None
         return table, quarantine
 
-    def _apply_tail(self, store: CheckpointStore, tdef: TableDef,
-                    entry: ManifestEntry, fingerprint: str,
-                    base_fp: str | None, source_state: dict[str, Any] | None,
-                    source_tables: dict[str, Table], run: RunResult, *,
-                    on_error: str) -> bool | None:
-        """Try the append-only tail path; None = ineligible (fall through).
+    def _apply_tail(
+            self, store: CheckpointStore, tdef: TableDef,
+            entry: ManifestEntry, base_fp: str | None,
+            source_tables: dict[str, Table],
+    ) -> tuple[Table, Table, Table | None] | None:
+        """The appended source tail with the committed table and
+        quarantine it extends; None = ineligible (recompute in full).
 
         Eligibility beyond :meth:`_tail_base_fingerprint`: a committed
         checkpoint entry with the same base fingerprint whose recorded
-        high-water mark still prefix-hashes into the current source.  When
-        it holds, the transform + expectations run over the appended tail
-        only and the result is unioned onto the committed table — cost
-        proportional to the tail, with the full fingerprint re-recorded so
-        downstream staleness stays content-driven.
+        high-water mark still prefix-hashes into the current source.
         """
         if (base_fp is None or entry.base_fingerprint != base_fp
                 or not entry.source_state):
@@ -384,122 +343,30 @@ class Pipeline:
         committed = self._read_committed(store, tdef.name, entry)
         if committed is None:
             return None
-        cached, quarantine = committed
-        tail = current.slice(hwm)
+        return (current.slice(hwm), *committed)
 
-        with instrument.timed("dlt.table.seconds", span_name="dlt.table",
-                              table=tdef.name, layer=tdef.layer) as table_span:
-            try:
-                out_tail = self._call_fn(tdef, [tail])
-                rows_in = out_tail.num_rows
-                out_tail, tail_quarantine, dropped, warned = (
-                    self._apply_expectations(tdef, out_tail)
-                )
-            except Exception as exc:  # noqa: BLE001 - per-table isolation
-                run.results[tdef.name] = TableResult(
-                    tdef.name, tdef.layer, "failed", error=str(exc),
-                )
-                metrics.counter("dlt.tables.failed").inc()
-                table_span.set(status="failed", error=str(exc))
-                degradation.record(
-                    "dlt", tdef.name,
-                    "halt" if on_error == "halt" else "skip_downstream",
-                    error=str(exc),
-                )
-                logger.warning("table %s tail failed: %s", tdef.name, exc)
-                get_log().record(TableEvent(
-                    pipeline=self.name, table=tdef.name, layer=tdef.layer,
-                    status="failed", inputs=tdef.inputs, error=str(exc),
-                ))
-                return False
-
-            out = cached.union(out_tail)
-            if tail_quarantine is not None and tail_quarantine.num_rows:
-                quarantine = (tail_quarantine if quarantine is None
-                              else quarantine.union(tail_quarantine))
-            table_span.set(
-                status="appended", rows_in=rows_in,
-                rows_out=out_tail.num_rows, dropped=dropped,
-                tail_rows=tail.num_rows, total_rows=out.num_rows,
-            )
-            store.commit(
-                tdef.name, fingerprint, out, quarantine,
-                base_fingerprint=base_fp, source_state=source_state,
-            )
-
-        run.tables[tdef.name] = out
-        if quarantine is not None and quarantine.num_rows:
-            run.quarantines[tdef.name] = quarantine
-        quarantined = 0 if quarantine is None else quarantine.num_rows
-        run.results[tdef.name] = TableResult(
-            tdef.name, tdef.layer, "appended",
-            rows_in=rows_in, rows_out=out_tail.num_rows, dropped=dropped,
-            quarantined=quarantined, warned=warned, recomputed=True,
-        )
-        metrics.counter("dlt.tables.appended").inc()
-        metrics.counter("dlt.incremental.tail_rows").inc(tail.num_rows)
-        self._register(tdef, out)
-        get_log().record(TableEvent(
-            pipeline=self.name, table=tdef.name, layer=tdef.layer,
-            status="appended", rows_in=rows_in, rows_out=out_tail.num_rows,
-            dropped=dropped, quarantined=quarantined, warned=warned,
-            inputs=tdef.inputs, recomputed=True,
-        ))
-        return True
-
-    def _record_skip(self, run: RunResult, tdef: TableDef,
-                     reason: str) -> None:
-        run.results[tdef.name] = TableResult(
-            tdef.name, tdef.layer, "skipped", error=reason
-        )
-        metrics.counter("dlt.tables.skipped").inc()
-        get_log().record(TableEvent(
-            pipeline=self.name, table=tdef.name, layer=tdef.layer,
-            status="skipped", inputs=tdef.inputs, error=reason,
-        ))
-
-    def _load_cached(self, store: CheckpointStore, tdef: TableDef,
-                     entry: ManifestEntry, fingerprint: str,
-                     run: RunResult) -> bool:
-        """Serve a committed-and-clean table from the checkpoint."""
-        if entry.fingerprint != fingerprint:
-            return False
-        committed = self._read_committed(store, tdef.name, entry)
-        if committed is None:
-            return False
-        cached, quarantine = committed
-        run.tables[tdef.name] = cached
-        if quarantine is not None:
-            run.quarantines[tdef.name] = quarantine
-        run.results[tdef.name] = TableResult(
-            tdef.name, tdef.layer, "cached",
-            rows_in=cached.num_rows, rows_out=cached.num_rows,
-            quarantined=entry.quarantined, recomputed=False,
-        )
-        metrics.counter("dlt.tables.cached").inc()
-        self._register(tdef, cached)
-        get_log().record(TableEvent(
-            pipeline=self.name, table=tdef.name, layer=tdef.layer,
-            status="cached", rows_in=cached.num_rows,
-            rows_out=cached.num_rows, quarantined=entry.quarantined,
-            inputs=tdef.inputs, recomputed=False,
-        ))
-        return True
-
-    def _compute(self, tdef: TableDef, fingerprint: str,
-                 source_tables: dict[str, Table],
-                 store: CheckpointStore | None, run: RunResult, *,
-                 on_error: str, base_fingerprint: str | None = None,
-                 source_state: dict[str, Any] | None = None) -> bool:
+    def _materialize(
+            self, tdef: TableDef, run: RunResult,
+            source_tables: dict[str, Table], store: CheckpointStore | None,
+            tail: tuple[Table, Table, Table | None] | None, *,
+            fingerprint: str, base_fingerprint: str | None,
+            source_state: dict[str, Any] | None, on_error: str,
+    ) -> TableResult:
         """Run one table's transform + expectations, then commit it.
 
-        Transform/expectation failures are isolated per ``on_error``;
-        checkpoint-write failures propagate (simulated process death).
+        With ``tail`` (from :meth:`_apply_tail`) the transform sees only
+        the appended source rows and its output and quarantine are
+        unioned onto the committed ones — cost proportional to the tail,
+        with the full fingerprint re-recorded so downstream staleness
+        stays content-driven.  Transform/expectation failures are
+        isolated per ``on_error``; checkpoint-write failures propagate
+        (simulated process death).
         """
-        inputs = [
-            run.tables[dep] if dep in run.tables else source_tables[dep]
-            for dep in tdef.inputs
-        ]
+        inputs = (
+            [tail[0]] if tail is not None else
+            [run.tables[dep] if dep in run.tables else source_tables[dep]
+             for dep in tdef.inputs]
+        )
         with instrument.timed("dlt.table.seconds", span_name="dlt.table",
                               table=tdef.name, layer=tdef.layer) as table_span:
             try:
@@ -509,28 +376,31 @@ class Pipeline:
                     self._apply_expectations(tdef, out)
                 )
             except Exception as exc:  # noqa: BLE001 - per-table isolation
-                run.results[tdef.name] = TableResult(
-                    tdef.name, tdef.layer, "failed", error=str(exc),
-                )
-                metrics.counter("dlt.tables.failed").inc()
                 table_span.set(status="failed", error=str(exc))
-                degradation.record(
-                    "dlt", tdef.name,
-                    "halt" if on_error == "halt" else "skip_downstream",
-                    error=str(exc),
-                )
+                degradation.record("dlt", tdef.name, on_error,
+                                   error=str(exc))
                 logger.warning("table %s failed: %s", tdef.name, exc)
-                get_log().record(TableEvent(
-                    pipeline=self.name, table=tdef.name, layer=tdef.layer,
-                    status="failed", inputs=tdef.inputs, error=str(exc),
-                ))
-                return False
+                return self._record(run, tdef, "failed", error=str(exc))
 
-            table_span.set(
-                status="materialized", rows_in=rows_in,
-                rows_out=out.num_rows, dropped=dropped,
-                quarantined=0 if quarantine is None else quarantine.num_rows,
-            )
+            rows_out = out.num_rows
+            if tail is None:
+                status = "materialized"
+                table_span.set(
+                    status=status, rows_in=rows_in, rows_out=rows_out,
+                    dropped=dropped, quarantined=_rows(quarantine),
+                )
+            else:
+                status = "appended"
+                _, cached, committed_quarantine = tail
+                out = cached.union(out)
+                if committed_quarantine is not None:
+                    quarantine = (committed_quarantine if quarantine is None
+                                  else committed_quarantine.union(quarantine))
+                table_span.set(
+                    status=status, rows_in=rows_in, rows_out=rows_out,
+                    dropped=dropped, tail_rows=inputs[0].num_rows,
+                    total_rows=out.num_rows,
+                )
             # The commit is deliberately NOT isolated: a failure here means
             # the materialization did not durably happen, and the safe
             # reaction is the one a process kill gets — stop and resume.
@@ -541,26 +411,35 @@ class Pipeline:
                     source_state=source_state,
                 )
 
-        run.tables[tdef.name] = out
-        if quarantine is not None and quarantine.num_rows:
-            run.quarantines[tdef.name] = quarantine
-        run.results[tdef.name] = TableResult(
-            tdef.name, tdef.layer, "materialized",
-            rows_in=rows_in, rows_out=out.num_rows, dropped=dropped,
-            quarantined=0 if quarantine is None else quarantine.num_rows,
-            warned=warned, recomputed=True,
+        if tail is None:
+            metrics.counter(f"dlt.table.{tdef.name}.computed").inc()
+        else:
+            metrics.counter("dlt.incremental.tail_rows").inc(
+                inputs[0].num_rows)
+        return self._record(
+            run, tdef, status, out, quarantine, rows_in=rows_in,
+            rows_out=rows_out, dropped=dropped, warned=warned,
+            recomputed=True,
         )
-        metrics.counter("dlt.tables.materialized").inc()
-        metrics.counter(f"dlt.table.{tdef.name}.computed").inc()
-        self._register(tdef, out)
-        get_log().record(TableEvent(
-            pipeline=self.name, table=tdef.name, layer=tdef.layer,
-            status="materialized", rows_in=rows_in, rows_out=out.num_rows,
-            dropped=dropped,
-            quarantined=0 if quarantine is None else quarantine.num_rows,
-            warned=warned, inputs=tdef.inputs, recomputed=True,
-        ))
-        return True
+
+    def _record(self, run: RunResult, tdef: TableDef, status: str,
+                table: Table | None = None, quarantine: Table | None = None,
+                **counts: Any) -> TableResult:
+        """Store one table's outcome: the run's result, the
+        ``dlt.tables.<status>`` counter, the lake and the lineage log."""
+        result = TableResult(
+            tdef.name, tdef.layer, status, quarantined=_rows(quarantine),
+            pipeline=self.name, inputs=tdef.inputs, **counts,
+        )
+        run.results[tdef.name] = result
+        metrics.counter(f"dlt.tables.{status}").inc()
+        if table is not None:
+            run.tables[tdef.name] = table
+            if _rows(quarantine):
+                run.quarantines[tdef.name] = quarantine
+            self._register(tdef, table)
+        get_log().record(result)
+        return result
 
     def _call_fn(self, tdef: TableDef, inputs: list[Table]) -> Table:
         def invoke() -> Table:
@@ -634,6 +513,10 @@ class Pipeline:
             or f"{tdef.layer} table of pipeline {self.name}",
             overwrite=True,
         )
+
+
+def _rows(table: Table | None) -> int:
+    return 0 if table is None else table.num_rows
 
 
 def _code_hash(fn: Callable[..., Any]) -> str:

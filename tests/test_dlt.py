@@ -906,3 +906,59 @@ class TestIncrementalSources:
         entry = dlt.CheckpointStore(tmp_path).committed("t")
         assert entry is not None
         assert entry.source_state is None and entry.base_fingerprint is None
+
+    def test_one_record_per_outcome_across_every_status(self, tmp_path):
+        """Every status, on both compute paths, is one record: the report
+        entry is the run's result, and each status counter counts them."""
+        @dlt.table(name="tail_strict", layer="silver", incremental=True)
+        @dlt.expect_or_fail("nonneg", dlt.col("v") >= 0)
+        def tail_strict(events):
+            return events
+
+        @dlt.table(name="full_strict", layer="silver")
+        @dlt.expect_or_fail("nonneg", dlt.col("v") >= 0)
+        def full_strict(events):
+            return events
+
+        @dlt.table(name="downstream", layer="gold")
+        def downstream(full_strict):
+            return full_strict
+
+        @dlt.table(name="rollup", layer="gold")
+        def rollup(doubled):
+            return doubled.group_by([], [("sum", "d", "total")])
+
+        @dlt.table(name="dims_copy", layer="silver")
+        def dims_copy(dims):
+            return dims
+
+        def build(source):
+            return (dlt.Pipeline("every", checkpoint_dir=tmp_path)
+                    .source("events", source, incremental=True)
+                    .source("dims", self.events(4))
+                    .add(self.doubled_def(), tail_strict, full_strict,
+                         downstream, rollup, dims_copy))
+
+        assert build(self.events(20)).run().ok
+        obs.reset()
+        grown = self.events(20).append_rows([(99, -1.0)])
+        run = build(grown).refresh(on_error="skip_downstream")
+        statuses = {name: r.status for name, r in run.results.items()}
+        assert statuses == {
+            "doubled": "appended", "tail_strict": "failed",
+            "full_strict": "failed", "downstream": "skipped",
+            "rollup": "materialized", "dims_copy": "cached",
+        }
+
+        report = obs.RunReport.collect("every-status")
+        entries = {e["table"]: e for e in report.dlt["tables"]}
+        assert entries.keys() == run.results.keys()
+        for name, result in run.results.items():
+            assert entries[name] == result.to_dict()
+        assert entries["doubled"]["pipeline"] == "every"
+        assert entries["downstream"]["inputs"] == ["full_strict"]
+        for status in ("materialized", "appended", "cached", "failed",
+                       "skipped"):
+            counter = report.metrics.get(f"dlt.tables.{status}", {})
+            assert counter.get("value", 0) == sum(
+                s == status for s in statuses.values())

@@ -384,11 +384,8 @@ class Pipeline:
 
             rows_out = out.num_rows
             if tail is None:
-                status = "materialized"
-                table_span.set(
-                    status=status, rows_in=rows_in, rows_out=rows_out,
-                    dropped=dropped, quarantined=_rows(quarantine),
-                )
+                status, sizes = "materialized", {
+                    "quarantined": _rows(quarantine)}
             else:
                 status = "appended"
                 _, cached, committed_quarantine = tail
@@ -396,11 +393,10 @@ class Pipeline:
                 if committed_quarantine is not None:
                     quarantine = (committed_quarantine if quarantine is None
                                   else committed_quarantine.union(quarantine))
-                table_span.set(
-                    status=status, rows_in=rows_in, rows_out=rows_out,
-                    dropped=dropped, tail_rows=inputs[0].num_rows,
-                    total_rows=out.num_rows,
-                )
+                sizes = {"tail_rows": inputs[0].num_rows,
+                         "total_rows": out.num_rows}
+            table_span.set(status=status, rows_in=rows_in, rows_out=rows_out,
+                           dropped=dropped, **sizes)
             # The commit is deliberately NOT isolated: a failure here means
             # the materialization did not durably happen, and the safe
             # reaction is the one a process kill gets — stop and resume.

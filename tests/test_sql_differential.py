@@ -27,6 +27,9 @@ from repro.table.storage import encode_table
 _STATUSES = ["gold", "new", "vip", None]
 _COUNTRIES = ["jp", "us", "de", None]
 _CATEGORIES = ["tools", "toys"]
+#: ``cust`` values, the partition key of the sharded engines: 0..13 is the
+#: fewest keys from 0 whose hashes reach every one of 7 shards.
+_KEYS = 14
 
 
 def _random_tables(rng: random.Random, n: int):
@@ -36,7 +39,7 @@ def _random_tables(rng: random.Random, n: int):
                for _ in range(n)]
     orders = Table.from_dict({
         "o_id": list(range(n)),
-        "cust": [None if rng.random() < 0.1 else rng.randrange(8)
+        "cust": [None if rng.random() < 0.1 else rng.randrange(_KEYS)
                  for _ in range(n)],
         "prod": [None if rng.random() < 0.1 else 100 + rng.randrange(5)
                  for _ in range(n)],
@@ -44,8 +47,8 @@ def _random_tables(rng: random.Random, n: int):
         "status": [rng.choice(_STATUSES) for _ in range(n)],
     })
     customers = Table.from_dict({
-        "cust": list(range(8)),
-        "country": [rng.choice(_COUNTRIES) for _ in range(8)],
+        "cust": list(range(_KEYS)),
+        "country": [rng.choice(_COUNTRIES) for _ in range(_KEYS)],
     })
     products = Table.from_dict({
         "p_id": [100 + i for i in range(5)],
@@ -71,8 +74,12 @@ _ARITHMETIC_ATOMS = ["amount + 1 > 6", "cust * 2 = 4", "amount - cust > 3",
 
 
 def _random_predicate(rng: random.Random, columns: list[str]) -> str:
+    dimensions = [c for c in ("country", "category") if c in columns]
+
     def atom() -> str:
-        kind = rng.randrange(8)
+        # Joined draws take a dimension filter in three kinds of ten: a
+        # filter on products is what lets join reordering fire.
+        kind = rng.randrange(10 if dimensions else 8)
         if kind == 0:
             return f"amount > {rng.randrange(64) / 4.0}"
         if kind == 1:
@@ -87,9 +94,8 @@ def _random_predicate(rng: random.Random, columns: list[str]) -> str:
             neg = "not " if rng.random() < 0.3 else ""
             return f"{column} {neg}in ({', '.join(values)})"
         if kind == 3:
-            return f"cust = {rng.randrange(8)}"
-        dimensions = [c for c in ("country", "category") if c in columns]
-        if kind == 4 and dimensions:
+            return f"cust = {rng.randrange(_KEYS)}"
+        if kind in (4, 8, 9) and dimensions:
             column = rng.choice(dimensions)
             pool = ["jp", "us", "de"] if column == "country" else _CATEGORIES
             return f"{column} = '{rng.choice(pool)}'"
@@ -212,10 +218,10 @@ class _Static:
         self.tables = tables
         self.conn = _sqlite_db(tables)
         self.db = Database(tables)
-        self.sharded = {k: Database({**tables, "orders": PartitionedTable
-                                     .partition(tables["orders"],
-                                                keys=["cust"], num_shards=k)})
-                        for k in (1, 2, 7)}
+        self.partitions = {k: PartitionedTable.partition(
+            tables["orders"], keys=["cust"], num_shards=k) for k in (1, 2, 7)}
+        self.sharded = {k: Database({**tables, "orders": orders})
+                        for k, orders in self.partitions.items()}
         self._references: dict[str, tuple] = {}
 
     def reference(self, sql: str) -> tuple[Table, bytes, Counter | None]:
@@ -328,7 +334,8 @@ def _maintained(rng: random.Random, tables: dict[str, Table],
             for _sql, read in pairs + views:
                 live.query(read)
         if name == "customers":
-            rows = [(rng.randrange(10), rng.choice(_COUNTRIES))
+            # New keys, which collide only with each other.
+            rows = [(rng.randrange(_KEYS, _KEYS + 6), rng.choice(_COUNTRIES))
                     for _ in range(inserts)]
         else:
             rows = [(next_id + row[0],) + row[1:] for row in
@@ -368,6 +375,9 @@ def _run(seed: int) -> set[str]:
     live, views = _maintained(rng, tables, pairs)
     static = _Static({name: live.stream(name).snapshot()
                       for name in tables})
+    # A fault confined to one shard shows only if every shard holds rows.
+    for k, orders in static.partitions.items():
+        assert all(shard.num_rows for shard in orders.shards), (seed, k)
     for sql, sib in pairs:
         _check_static(seed, static, sql, sib)
     seen: set[str] = set()
@@ -377,8 +387,11 @@ def _run(seed: int) -> set[str]:
         _check_stream(seed, static, sql, live.query(read))
         assert hits.value == before + 1, (seed, read)
         seen.add("view hit")
-    for sql, _sib in pairs:
-        text = live.explain(sql)
+    for sql, sib in pairs:
+        # Each draw's own view is substituted for its plan, which hides
+        # the other rewrites; the sibling, read before the last push,
+        # keeps them.
+        text = live.explain(sql) + live.explain(sib)
         seen.update(re.findall(r"^  - (\w+):", text, re.M))
         if "[columnar[index]]" in text:
             seen.add("columnar[index]")
@@ -398,8 +411,12 @@ def test_every_rule_and_cache_path_fires():
     """Over the 30 seeds, every optimizer rule, the key-index probe and
     a plan-cache hit on a stream read and on a view read across a push
     each happen at least once (seeds not yet run are run here)."""
-    seen = set().union(*(_COVERAGE[seed] if seed in _COVERAGE
-                         else _run(seed) for seed in range(30)))
+    per_seed = [_COVERAGE[seed] if seed in _COVERAGE else _run(seed)
+                for seed in range(30)]
+    seen = set().union(*per_seed)
+    # Reordering needs both joins, unique customer keys and a filter
+    # that makes products the more selective join.
+    assert sum("join_reorder" in s for s in per_seed) >= 10
     assert seen >= {"constant_folding", "predicate_pushdown",
                     "view_substitution", "projection_pruning",
                     "join_reorder", "columnar[index]", "stream hit",

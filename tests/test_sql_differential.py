@@ -389,8 +389,7 @@ def _run(seed: int) -> set[str]:
         seen.add("view hit")
     for sql, sib in pairs:
         # Each draw's own view is substituted for its plan, which hides
-        # the other rewrites; the sibling, read before the last push,
-        # keeps them.
+        # the other rewrites; its sibling matches no view and keeps them.
         text = live.explain(sql) + live.explain(sib)
         seen.update(re.findall(r"^  - (\w+):", text, re.M))
         if "[columnar[index]]" in text:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableResult:
-    """One table's outcome in one :meth:`~repro.dlt.Pipeline.run`.
+    """One table's outcome in one :meth:`~repro.dlt.Pipeline.run`,
+    read-only: the run's results and the log share it.
 
     ``appended`` means the incremental-source tail path ran: only the
     source rows past the committed high-water mark went through the
